@@ -25,7 +25,7 @@ use crate::{figures, Scale};
 use canon_core::kernels::run_kernel;
 use canon_core::kernels::spmm::{build_row_streams, preload_b_tile, SpmmFsm};
 use canon_core::stats::RunReport;
-use canon_core::{CanonConfig, Fabric};
+use canon_core::{CanonConfig, Engine, Fabric};
 use canon_sparse::{gen, Dense};
 use canon_sweep::backend::{kernel_input, CanonBackend};
 use canon_sweep::engine::{run_sweep, SweepOptions};
@@ -134,12 +134,9 @@ pub fn check_throughput_gate(report: &BenchReport, baseline: &str) -> Result<(),
 }
 
 /// Evaluates the large-tier throughput gate: geomean of each large entry's
-/// `replay_cps` (the default engine configuration — batching *and* replay
-/// on) against the baseline's entry of the same `name@RxC` key,
-/// host-normalized like [`check_throughput_gate`]. A baseline written
-/// before the replay engine carries no `replay_cps`; its `batched_cps` was
-/// the default configuration then, so the gate falls back to it — the
-/// comparison stays default-config-then vs default-config-now.
+/// `replay_cps` (the default [`Engine::Fast`] throughput) against the
+/// baseline's entry of the same `name@RxC` key, host-normalized like
+/// [`check_throughput_gate`].
 ///
 /// Returns `Ok(None)` when there is nothing to gate — the report skipped
 /// the large tier (`--reps 0`), or the baseline predates the large section
@@ -160,9 +157,7 @@ pub fn check_large_gate(report: &BenchReport, baseline: &str) -> Result<Option<f
         .iter()
         .filter_map(|k| {
             let key = format!("{}@{}x{}", k.name, k.rows, k.cols);
-            extract_number(baseline, &key, "replay_cps")
-                .or_else(|| extract_number(baseline, &key, "batched_cps"))
-                .map(|base| k.replay_cps / base)
+            extract_number(baseline, &key, "replay_cps").map(|base| k.fast_cps / base)
         })
         .collect();
     let Some(raw) = geomean(&ratios) else {
@@ -275,8 +270,8 @@ impl SteadyState {
     }
 }
 
-/// One large-tier kernel's interleaved scalar / batch-on / replay-on
-/// measurement at one fabric geometry.
+/// One large-tier kernel's interleaved [`Engine::Reference`] /
+/// [`Engine::Fast`] measurement at one fabric geometry.
 #[derive(Debug, Clone)]
 pub struct LargeKernelBench {
     /// Kernel label (without the geometry suffix; JSON keys entries as
@@ -286,43 +281,32 @@ pub struct LargeKernelBench {
     pub rows: usize,
     /// Fabric columns of this measurement.
     pub cols: usize,
-    /// Simulated cycles of one run (identical across all three engine
-    /// configurations — asserted every repetition).
+    /// Simulated cycles of one run (identical under both engines —
+    /// asserted every repetition, with every architectural counter).
     pub sim_cycles: u64,
-    /// Interleaved A/B/C triples measured.
+    /// Interleaved Reference/Fast pairs measured.
     pub reps: usize,
-    /// Simulated cycles per host second with both fast paths force-disabled.
-    pub scalar_cps: f64,
-    /// Simulated cycles per host second with the batch path on and the
-    /// replay engine off — isolates the column-batch contribution.
-    pub batched_cps: f64,
-    /// Simulated cycles per host second with batching *and* replay on (the
-    /// default engine configuration; this is the number the throughput
-    /// gate compares).
-    pub replay_cps: f64,
-    /// Share of swept PE-cycles the batch path carried (batching on,
-    /// replay off — under replay the deferred share is accounted, not
-    /// swept).
+    /// Simulated cycles per host second under [`Engine::Reference`].
+    pub reference_cps: f64,
+    /// Simulated cycles per host second under [`Engine::Fast`], the
+    /// default engine. The JSON writes it as `replay_cps`, the key the
+    /// large-tier gate has always compared.
+    pub fast_cps: f64,
+    /// Share of swept PE-cycles the batch path carried in the Fast run
+    /// (`batched_pe_cycles / active_pe_cycles`).
     pub batch_hit_rate: f64,
-    /// Share of the run's cycles the replay engine fast-forwarded
-    /// (`replayed_cycles / cycles`, replay on).
+    /// Share of the Fast run's cycles the replay engine fast-forwarded
+    /// (`replayed_cycles / cycles`).
     pub replay_hit_rate: f64,
-    /// Captured steady-state stretches the replay engine committed
-    /// (periods detected, replay on).
+    /// Captured steady-state stretches the replay engine committed in the
+    /// Fast run.
     pub replay_stretches: u64,
 }
 
 impl LargeKernelBench {
-    /// Batch-on over batch-off throughput from the interleaved runs.
-    pub fn batch_speedup(&self) -> f64 {
-        self.batched_cps / self.scalar_cps.max(f64::MIN_POSITIVE)
-    }
-
-    /// Replay-on over replay-off (both batched) throughput from the
-    /// interleaved runs — the macro-cycle replay engine's contribution on
-    /// top of column batching.
-    pub fn replay_speedup(&self) -> f64 {
-        self.replay_cps / self.batched_cps.max(f64::MIN_POSITIVE)
+    /// Fast over Reference throughput from the interleaved runs.
+    pub fn fast_speedup(&self) -> f64 {
+        self.fast_cps / self.reference_cps.max(f64::MIN_POSITIVE)
     }
 
     /// Mean captured stretch length in cycles (0 when replay never
@@ -373,7 +357,7 @@ pub struct BenchReport {
     /// Per-kernel simulator throughput.
     pub kernels: Vec<KernelBench>,
     /// Large-tier measurements (64×64 / 128×64 fabrics, deep-K operands)
-    /// with interleaved batch-off/batch-on A/B. Empty when the large tier
+    /// with an interleaved Reference/Fast engine A/B. Empty when the large tier
     /// was skipped (`--reps 0`).
     pub large: Vec<LargeKernelBench>,
     /// Step-loop allocation profile (`None` without an allocator hook).
@@ -509,10 +493,9 @@ fn large_tensor_ops() -> Vec<(&'static str, TensorOp, u64)> {
 }
 
 /// Measures the large tier: every deep-K kernel at every large geometry,
-/// `reps` interleaved scalar / batch-on / replay-on triples per cell.
-/// Interleaving (scalar, batch, replay, scalar, …) exposes all three
-/// engine configurations to the same host drift, so the per-kernel batch
-/// and replay speedups are honest A/Bs rather than separated timing
+/// `reps` interleaved [`Engine::Reference`] / [`Engine::Fast`] pairs per
+/// cell. Interleaving exposes both engines to the same host drift, so the
+/// per-kernel speedup is an honest A/B rather than two separated timing
 /// windows. Operands are materialized once per kernel and reused across
 /// reps (the scalar-tier sampler's `run_report` re-generates them every
 /// call, which at these sizes would dominate the measurement).
@@ -522,16 +505,6 @@ fn bench_large(reps: usize) -> Vec<LargeKernelBench> {
         return out;
     }
     for (rows, cols) in large_geometries() {
-        // Default engine configuration: batching and replay both on.
-        let cfg_replay = CanonConfig::default().with_geometry(rows, cols);
-        let cfg_batch = CanonConfig {
-            replay: false,
-            ..cfg_replay.clone()
-        };
-        let cfg_scalar = CanonConfig {
-            batching: false,
-            ..cfg_batch.clone()
-        };
         for (name, op, seed) in large_tensor_ops() {
             // Deep-K shapes need a dmem band of `K / rows` words per PE;
             // size the data memory per kernel (never below the default) so
@@ -545,67 +518,48 @@ fn bench_large(reps: usize) -> Vec<LargeKernelBench> {
                 // needs are covered by the default data-memory size.
                 _ => 0,
             };
-            let dmem_words = cfg_replay.dmem_words.max(band);
-            let cfg_replay = CanonConfig {
-                dmem_words,
-                ..cfg_replay.clone()
+            let fast_cfg = CanonConfig::default().with_geometry(rows, cols);
+            let fast_cfg = CanonConfig {
+                dmem_words: fast_cfg.dmem_words.max(band),
+                ..fast_cfg
             };
-            let cfg_batch = CanonConfig {
-                dmem_words,
-                ..cfg_batch.clone()
-            };
-            let cfg_scalar = CanonConfig {
-                dmem_words,
-                ..cfg_scalar.clone()
+            let reference_cfg = CanonConfig {
+                engine: Engine::Reference,
+                ..fast_cfg.clone()
             };
             let input = kernel_input(&op, seed);
-            let mut wall_scalar = 0u64;
-            let mut wall_batch = 0u64;
-            let mut wall_replay = 0u64;
-            let mut sim_cycles = 0u64;
-            let mut batch_hit = 0.0f64;
-            let mut replay_hit = 0.0f64;
-            let mut stretches = 0u64;
+            let (mut wall_reference, mut wall_fast) = (0u64, 0u64);
+            let mut last_fast = None;
             for _ in 0..reps {
-                let scalar = run_kernel(&cfg_scalar, &input)
+                let reference = run_kernel(&reference_cfg, &input)
                     .expect("large kernel maps")
                     .report;
-                let batch = run_kernel(&cfg_batch, &input)
-                    .expect("large kernel maps")
-                    .report;
-                let replay = run_kernel(&cfg_replay, &input)
+                let fast = run_kernel(&fast_cfg, &input)
                     .expect("large kernel maps")
                     .report;
                 assert_eq!(
-                    scalar.cycles, batch.cycles,
-                    "batch fast path must be architecturally invisible ({name} {rows}x{cols})"
+                    reference.architectural(),
+                    fast.architectural(),
+                    "the fast engine must be architecturally invisible ({name} {rows}x{cols})"
                 );
-                assert_eq!(
-                    batch.cycles, replay.cycles,
-                    "replay engine must be architecturally invisible ({name} {rows}x{cols})"
-                );
-                wall_scalar += scalar.wall_ns;
-                wall_batch += batch.wall_ns;
-                wall_replay += replay.wall_ns;
-                sim_cycles = replay.cycles;
-                batch_hit = batch.stats.batched_pe_cycles as f64
-                    / batch.stats.active_pe_cycles.max(1) as f64;
-                replay_hit = replay.stats.replayed_cycles as f64 / replay.cycles.max(1) as f64;
-                stretches = replay.stats.replay_stretches;
+                wall_reference += reference.wall_ns;
+                wall_fast += fast.wall_ns;
+                last_fast = Some(fast);
             }
-            let total_cycles = sim_cycles as f64 * reps as f64;
+            let fast = last_fast.expect("reps > 0");
+            let total_cycles = fast.cycles as f64 * reps as f64;
             out.push(LargeKernelBench {
                 name: name.to_string(),
                 rows,
                 cols,
-                sim_cycles,
+                sim_cycles: fast.cycles,
                 reps,
-                scalar_cps: total_cycles / (wall_scalar.max(1) as f64 * 1e-9),
-                batched_cps: total_cycles / (wall_batch.max(1) as f64 * 1e-9),
-                replay_cps: total_cycles / (wall_replay.max(1) as f64 * 1e-9),
-                batch_hit_rate: batch_hit,
-                replay_hit_rate: replay_hit,
-                replay_stretches: stretches,
+                reference_cps: total_cycles / (wall_reference.max(1) as f64 * 1e-9),
+                fast_cps: total_cycles / (wall_fast.max(1) as f64 * 1e-9),
+                batch_hit_rate: fast.stats.batched_pe_cycles as f64
+                    / fast.stats.active_pe_cycles.max(1) as f64,
+                replay_hit_rate: fast.stats.replayed_cycles as f64 / fast.cycles.max(1) as f64,
+                replay_stretches: fast.stats.replay_stretches,
             });
         }
     }
@@ -867,32 +821,26 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
     let _ = writeln!(s, "  \"large\": [");
     for (i, k) in report.large.iter().enumerate() {
         let key = format!("{}@{}x{}", k.name, k.rows, k.cols);
-        // Default-config tracking: this report's replay_cps against the
-        // baseline's (or its batched_cps when the baseline predates the
-        // replay engine and batching alone was the default).
+        // Default-engine tracking: this report's Fast throughput against
+        // the baseline's.
         let speedup = baseline
-            .and_then(|b| {
-                extract_number(b, &key, "replay_cps")
-                    .or_else(|| extract_number(b, &key, "batched_cps"))
-            })
-            .map(|base| k.replay_cps / base);
+            .and_then(|b| extract_number(b, &key, "replay_cps"))
+            .map(|base| k.fast_cps / base);
         if let Some(r) = speedup {
             large_speedups.push(r);
         }
         let comma = if i + 1 < report.large.len() { "," } else { "" };
         let _ = write!(
             s,
-            "    {{\"name\":\"{key}\",\"rows\":{},\"cols\":{},\"sim_cycles\":{},\"reps\":{},\"scalar_cps\":{:.0},\"batched_cps\":{:.0},\"batch_speedup\":{:.3},\"batch_hit_rate\":{:.4},\"replay_cps\":{:.0},\"replay_speedup\":{:.3},\"replay_hit_rate\":{:.4},\"replay_stretches\":{},\"replay_period\":{:.1}",
+            "    {{\"name\":\"{key}\",\"rows\":{},\"cols\":{},\"sim_cycles\":{},\"reps\":{},\"reference_cps\":{:.0},\"replay_cps\":{:.0},\"fast_speedup\":{:.3},\"batch_hit_rate\":{:.4},\"replay_hit_rate\":{:.4},\"replay_stretches\":{},\"replay_period\":{:.1}",
             k.rows,
             k.cols,
             k.sim_cycles,
             k.reps,
-            k.scalar_cps,
-            k.batched_cps,
-            k.batch_speedup(),
+            k.reference_cps,
+            k.fast_cps,
+            k.fast_speedup(),
             k.batch_hit_rate,
-            k.replay_cps,
-            k.replay_speedup(),
             k.replay_hit_rate,
             k.replay_stretches,
             k.replay_period()
@@ -907,9 +855,9 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
         }
     }
     let _ = writeln!(s, "  ],");
-    // The tier's headline numbers: per-geometry geomeans of the
-    // interleaved batch-on/off and replay-on/off speedups (self-contained —
-    // need no baseline).
+    // The tier's headline number: the per-geometry geomean of the
+    // interleaved Fast-over-Reference speedups (self-contained — needs no
+    // baseline).
     if !report.large.is_empty() {
         let mut geoms: Vec<(usize, usize)> = Vec::new();
         for k in &report.large {
@@ -917,30 +865,19 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
                 geoms.push((k.rows, k.cols));
             }
         }
-        let per_geom = |f: fn(&LargeKernelBench) -> f64| -> Vec<String> {
-            geoms
-                .iter()
-                .map(|&(r, c)| {
-                    let sp: Vec<f64> = report
-                        .large
-                        .iter()
-                        .filter(|k| (k.rows, k.cols) == (r, c))
-                        .map(f)
-                        .collect();
-                    format!("\"geomean_{r}x{c}\":{:.3}", geomean(&sp).unwrap_or(1.0))
-                })
-                .collect()
-        };
-        let _ = writeln!(
-            s,
-            "  \"large_batch\": {{{}}},",
-            per_geom(LargeKernelBench::batch_speedup).join(",")
-        );
-        let _ = writeln!(
-            s,
-            "  \"large_replay\": {{{}}},",
-            per_geom(LargeKernelBench::replay_speedup).join(",")
-        );
+        let per_geom: Vec<String> = geoms
+            .iter()
+            .map(|&(r, c)| {
+                let sp: Vec<f64> = report
+                    .large
+                    .iter()
+                    .filter(|k| (k.rows, k.cols) == (r, c))
+                    .map(LargeKernelBench::fast_speedup)
+                    .collect();
+                format!("\"geomean_{r}x{c}\":{:.3}", geomean(&sp).unwrap_or(1.0))
+            })
+            .collect();
+        let _ = writeln!(s, "  \"large_fast\": {{{}}},", per_geom.join(","));
     }
     if let Some(ss) = &report.steady_state {
         let _ = writeln!(
@@ -1060,19 +997,19 @@ pub fn render_text(report: &BenchReport) -> String {
     if !report.large.is_empty() {
         let _ = writeln!(
             s,
-            "== large tier: interleaved scalar/batch/replay A/B ({} triples per cell) ==",
+            "== large tier: interleaved reference/fast engine A/B ({} pairs per cell) ==",
             report.large[0].reps
         );
         let _ = writeln!(
             s,
-            "{:<10} {:>8} {:>11} {:>13} {:>13} {:>13} {:>8} {:>8} {:>5} {:>7}",
+            "{:<10} {:>8} {:>11} {:>13} {:>13} {:>8} {:>8} {:>8} {:>5} {:>7}",
             "kernel",
             "geometry",
             "sim cycles",
-            "scalar c/s",
-            "batched c/s",
-            "replay c/s",
-            "replay",
+            "ref c/s",
+            "fast c/s",
+            "fast",
+            "batch",
             "ff rate",
             "str.",
             "period"
@@ -1080,14 +1017,14 @@ pub fn render_text(report: &BenchReport) -> String {
         for k in &report.large {
             let _ = writeln!(
                 s,
-                "{:<10} {:>8} {:>11} {:>13.0} {:>13.0} {:>13.0} {:>7.2}x {:>7.1}% {:>5} {:>7.0}",
+                "{:<10} {:>8} {:>11} {:>13.0} {:>13.0} {:>7.2}x {:>7.1}% {:>7.1}% {:>5} {:>7.0}",
                 k.name,
                 format!("{}x{}", k.rows, k.cols),
                 k.sim_cycles,
-                k.scalar_cps,
-                k.batched_cps,
-                k.replay_cps,
-                k.replay_speedup(),
+                k.reference_cps,
+                k.fast_cps,
+                k.fast_speedup(),
+                k.batch_hit_rate * 100.0,
                 k.replay_hit_rate * 100.0,
                 k.replay_stretches,
                 k.replay_period()
@@ -1100,22 +1037,17 @@ pub fn render_text(report: &BenchReport) -> String {
             }
         }
         for (r, c) in geoms {
-            let take = |f: fn(&LargeKernelBench) -> f64| -> Vec<f64> {
-                report
-                    .large
-                    .iter()
-                    .filter(|k| (k.rows, k.cols) == (r, c))
-                    .map(f)
-                    .collect()
-            };
-            let batch = take(LargeKernelBench::batch_speedup);
-            let replay = take(LargeKernelBench::replay_speedup);
+            let speedups: Vec<f64> = report
+                .large
+                .iter()
+                .filter(|k| (k.rows, k.cols) == (r, c))
+                .map(LargeKernelBench::fast_speedup)
+                .collect();
             let _ = writeln!(
                 s,
-                "large {r}x{c}: batch on/off geomean {:.3}x, replay on/off geomean {:.3}x over {} kernels",
-                geomean(&batch).unwrap_or(1.0),
-                geomean(&replay).unwrap_or(1.0),
-                batch.len()
+                "large {r}x{c}: fast/reference geomean {:.3}x over {} kernels",
+                geomean(&speedups).unwrap_or(1.0),
+                speedups.len()
             );
         }
     }
@@ -1191,9 +1123,8 @@ mod tests {
                 cols: 64,
                 sim_cycles: 2373,
                 reps: 3,
-                scalar_cps: 4_000.0,
-                batched_cps: 5_000.0,
-                replay_cps: 30_000.0,
+                reference_cps: 5_000.0,
+                fast_cps: 30_000.0,
                 batch_hit_rate: 0.54,
                 replay_hit_rate: 0.60,
                 replay_stretches: 2,
@@ -1368,28 +1299,29 @@ mod tests {
     }
 
     #[test]
-    fn large_section_roundtrips_and_reports_batch_ab() {
+    fn large_section_roundtrips_and_reports_engine_ab() {
         let json = render_json(&tiny_report(), None);
         // Entries are keyed `name@RxC`, so the large GEMM line never
         // collides with the scalar-tier "GEMM" kernel line.
         assert_eq!(
-            extract_number(&json, "GEMM@64x64", "batched_cps"),
+            extract_number(&json, "GEMM@64x64", "reference_cps"),
             Some(5_000.0)
         );
-        assert_eq!(
-            extract_number(&json, "GEMM@64x64", "batch_speedup"),
-            Some(1.25)
-        );
-        // Replay diagnostics ride on the same line: throughput with the
-        // full default engine, on/off speedup, fraction fast-forwarded,
-        // stretch count, and mean captured period length.
+        // The Fast throughput keeps the `replay_cps` key the gate reads;
+        // the engine A/B, the Fast run's batch and replay hit rates, its
+        // stretch count, and the mean captured period ride on the same
+        // line.
         assert_eq!(
             extract_number(&json, "GEMM@64x64", "replay_cps"),
             Some(30_000.0)
         );
         assert_eq!(
-            extract_number(&json, "GEMM@64x64", "replay_speedup"),
+            extract_number(&json, "GEMM@64x64", "fast_speedup"),
             Some(6.0)
+        );
+        assert_eq!(
+            extract_number(&json, "GEMM@64x64", "batch_hit_rate"),
+            Some(0.54)
         );
         assert_eq!(
             extract_number(&json, "GEMM@64x64", "replay_hit_rate"),
@@ -1405,21 +1337,17 @@ mod tests {
             Some(2_000_000.0),
             "scalar kernel extraction unaffected by the large section"
         );
-        // Self-contained per-geometry A/B geomeans plus the steady-state
+        // The self-contained per-geometry A/B geomean plus the steady-state
         // batch hit rate land in the JSON without a baseline.
         assert!(
-            json.contains("\"large_batch\": {\"geomean_64x64\":1.250}"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"large_replay\": {\"geomean_64x64\":6.000}"),
+            json.contains("\"large_fast\": {\"geomean_64x64\":6.000}"),
             "{json}"
         );
         assert!(json.contains("\"batch_hit_rate\":0.2500"), "{json}");
         assert!(json.contains("\"replayed_cycles\":0"), "{json}");
         let text = render_text(&tiny_report());
         assert!(
-            text.contains("batch on/off geomean 1.250x, replay on/off geomean 6.000x"),
+            text.contains("fast/reference geomean 6.000x over 1 kernels"),
             "{text}"
         );
         assert!(text.contains("batch fast path: 1025 of 4100"), "{text}");
@@ -1429,37 +1357,17 @@ mod tests {
     #[test]
     fn large_gate_tracks_the_default_engine_configuration() {
         let base = render_json(&tiny_report(), None);
-        // A replay-era baseline compares replay_cps to replay_cps: a report
-        // whose batched_cps regressed but whose default-config throughput
-        // held is NOT gated …
-        let mut batch_slower = tiny_report();
-        batch_slower.large[0].batched_cps *= 0.5;
-        assert!(check_large_gate(&batch_slower, &base).is_ok());
-        // … while a default-config regression is, even with batched_cps
-        // flat.
-        let mut replay_slower = tiny_report();
-        replay_slower.large[0].replay_cps *= 0.8;
-        assert!(check_large_gate(&replay_slower, &base).is_err());
-        // A pre-replay baseline (no replay_cps key) falls back to its
-        // batched_cps — then the default engine configuration: 30000 vs
-        // 5000 passes easily.
-        let legacy = base
-            .lines()
-            .map(|l| {
-                if l.contains("\"replay_cps\"") {
-                    // Strip the replay fields (the line's tail before the
-                    // closing brace) the way an old renderer simply would
-                    // not have written them.
-                    let cut = l.find(",\"replay_cps\"").unwrap();
-                    format!("{}}}", &l[..cut])
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(extract_number(&legacy, "GEMM@64x64", "replay_cps").is_none());
-        assert_eq!(check_large_gate(&tiny_report(), &legacy), Ok(Some(6.0)));
+        // The gate compares Fast to Fast: a report whose Reference
+        // throughput regressed but whose default-engine throughput held is
+        // NOT gated …
+        let mut reference_slower = tiny_report();
+        reference_slower.large[0].reference_cps *= 0.5;
+        assert!(check_large_gate(&reference_slower, &base).is_ok());
+        // … while a default-engine regression is, even with the Reference
+        // throughput flat.
+        let mut fast_slower = tiny_report();
+        fast_slower.large[0].fast_cps *= 0.8;
+        assert!(check_large_gate(&fast_slower, &base).is_err());
     }
 
     #[test]
@@ -1469,7 +1377,7 @@ mod tests {
         assert_eq!(check_large_gate(&tiny_report(), &base), Ok(Some(1.0)),);
         // A 20% large-tier regression at identical host speed is gated.
         let mut slower = tiny_report();
-        slower.large[0].replay_cps *= 0.8;
+        slower.large[0].fast_cps *= 0.8;
         let err = check_large_gate(&slower, &base).unwrap_err();
         assert!(err.contains("large-tier"), "{err}");
         // A baseline that predates the large section (tier absent) skips

@@ -49,7 +49,7 @@
 use canon_bench::{ablations, bench, figures, Scale};
 use canon_core::fault::{FaultAction, FaultPlan};
 use canon_core::trace::{render_profile, write_chrome_trace, VecSink};
-use canon_core::CanonConfig;
+use canon_core::{CanonConfig, Engine};
 use canon_serve::{Client, Request, ServeOptions, SubmitRequest};
 use canon_sweep::engine::{run_sweep, SweepOptions};
 use canon_sweep::report::{edp_table, quarantine_report_with, speedup_table};
@@ -213,9 +213,11 @@ fn usage() -> ! {
            --geom LIST  sweep fabric geometries, e.g. 8x8,16x16 (default: 8x8,\n\
                         or 64x64,128x64 under --large); baselines are\n\
                         provisioned iso-MAC at each point\n\
-           --no-replay  (sweep) disable the steady-state replay engine and\n\
-                        cycle-step every cell; the result store must be\n\
-                        byte-identical either way (CI diffs the two)\n\
+           --reference-engine  (sweep, serve) simulate every cell on the\n\
+                        reference engine (every row stepped every cycle,\n\
+                        scalar PE sweep, no replay); the result store must\n\
+                        be byte-identical to the default fast engine's (CI\n\
+                        diffs the two)\n\
            --resume     (sweep) continue an interrupted sweep from the store\n\
                         journal: recovered records are reported instead of\n\
                         warned about; finished cells are cache hits\n\
@@ -238,8 +240,8 @@ fn usage() -> ! {
            --connections N  (submit) parallel client connections (default 4)\n\
            --baseline FILE  (bench) previous BENCH_sim.json to embed and\n\
                         compute speedups against\n\
-           --reps N     (bench) interleaved batch-off/on pairs per large-tier\n\
-                        cell (default 3; 0 skips the large tier)\n\
+           --reps N     (bench) interleaved reference/fast engine pairs per\n\
+                        large-tier cell (default 3; 0 skips the large tier)\n\
            --check      (bench) exit non-zero if the steady-state step loop\n\
                         exceeds the allocation gate (allocs/cycle) or the\n\
                         kernels/large-tier geomeans regress >10% against the\n\
@@ -346,10 +348,10 @@ struct SweepRunOpts {
     cell_wall_budget: Option<Duration>,
     cell_cycle_budget: Option<u64>,
     max_retries: u32,
-    /// Steady-state replay engine on (the default engine configuration).
-    /// `--no-replay` forces cycle-stepping so CI can byte-diff the two
-    /// paths' result stores.
-    replay: bool,
+    /// Simulation engine: [`Engine::Fast`] by default, `--reference-engine`
+    /// selects [`Engine::Reference`] so CI can byte-diff the two engines'
+    /// result stores.
+    engine: Engine,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -417,7 +419,7 @@ fn run_standard_sweep(
             jobs,
             progress,
             base_cfg: CanonConfig {
-                replay: run.replay,
+                engine: run.engine,
                 ..CanonConfig::default()
             },
             cell_wall_budget: run.cell_wall_budget,
@@ -539,11 +541,11 @@ fn main() {
     } else {
         false
     };
-    let replay = if let Some(pos) = args.iter().position(|a| a == "--no-replay") {
+    let engine = if let Some(pos) = args.iter().position(|a| a == "--reference-engine") {
         args.remove(pos);
-        false
+        Engine::Reference
     } else {
-        true
+        Engine::Fast
     };
     let fault_plan = take_value_flag(&mut args, "--faults")
         .map_or_else(FaultPlan::new, |raw| parse_faults(&raw));
@@ -717,7 +719,7 @@ fn main() {
             workers: jobs,
             queue_capacity,
             base_cfg: CanonConfig {
-                replay,
+                engine,
                 wall_budget_ns: cell_wall_budget.map(|d| d.as_nanos() as u64),
                 max_cycles: cell_cycle_budget,
                 ..CanonConfig::default()
@@ -903,7 +905,7 @@ fn main() {
         cell_wall_budget,
         cell_cycle_budget,
         max_retries,
-        replay,
+        engine,
         shutdown: install_sigint_flag(),
     };
     let mut exit_code = 0;

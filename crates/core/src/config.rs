@@ -3,6 +3,23 @@
 use crate::fault::FaultAction;
 use crate::isa::LANES;
 
+/// The simulation engine a [`crate::Fabric`] runs (a host choice, never an
+/// architectural parameter).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The simplest correct engine, kept as the differential oracle: every
+    /// orchestrator row is stepped every cycle (a pure wait never parks),
+    /// every live PE takes the scalar per-PE sweep, and nothing is
+    /// replayed.
+    Reference,
+    /// The production engine: event-driven row wakeups, the column-batch
+    /// sweep over uniform columns ([`crate::pe::PeArray::batch_col`]), and
+    /// steady-state replay (`crate::replay`). Batching and replay engage on
+    /// their own wherever the issue stream is uniform; an attached trace
+    /// sink keeps replay disengaged.
+    Fast,
+}
+
 /// Configuration of a Canon fabric instance.
 ///
 /// The default reproduces Table 1 of the paper: an 8×8 array of 4-SIMD INT8
@@ -50,25 +67,12 @@ pub struct CanonConfig {
     pub watchdog_factor: u64,
     /// Additive slack for the watchdog.
     pub watchdog_slack: u64,
-    /// Simulator-host knob (not an architectural parameter): enables the
-    /// column-vectorized batch fast path over the SoA slabs. Architecturally
-    /// invisible either way — cycle counts, stats, and collector streams are
-    /// identical (pinned by `tests/batch_column.rs`); disable only for
-    /// differential testing or A/B throughput measurement.
-    pub batching: bool,
-    /// Simulator-host knob (not an architectural parameter): enables the
-    /// steady-state replay engine, which detects stretches of cycles in
-    /// which every row issues the same uniform MAC shape and fast-forwards
-    /// them — the PE-array sweep is deferred and settled arithmetically
-    /// when the stretch ends (see `canon_core::replay`). Architecturally
-    /// invisible either way — cycle counts, stats (including the stall
-    /// breakdown), and collector streams are identical (pinned by
-    /// `tests/replay_differential.rs`); only the
-    /// `Stats::replayed_cycles`/`Stats::replay_stretches` diagnostics
-    /// differ. Automatically disengaged while a trace sink is attached or
-    /// the polling shadow engine is forced. Disable only for differential
-    /// testing or A/B throughput measurement.
-    pub replay: bool,
+    /// Simulator-host knob (not an architectural parameter): the engine
+    /// that advances the fabric. Both engines produce identical cycle
+    /// counts, architectural counters (including the stall breakdown), and
+    /// collector streams; only the scheduler diagnostics that measure the
+    /// work performed differ (see [`crate::RunReport::architectural`]).
+    pub engine: Engine,
     /// Harness knob: hard ceiling on simulated cycles per `Fabric::run`
     /// call. `None` (the default) leaves only the deadlock watchdog;
     /// `Some(n)` aborts a still-live run after `n` cycles with
@@ -102,8 +106,7 @@ impl Default for CanonConfig {
             offchip_bytes_per_cycle: 17.0,
             watchdog_factor: 64,
             watchdog_slack: 10_000,
-            batching: true,
-            replay: true,
+            engine: Engine::Fast,
             max_cycles: None,
             wall_budget_ns: None,
             fault: None,

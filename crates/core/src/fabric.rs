@@ -58,14 +58,26 @@
 //! ([`OrchAction::park`], set by every back-pressured stall) or when it has
 //! drained. While parked it costs zero work per cycle; on wake the skipped
 //! window is settled arithmetically — `orch_steps`, `stall_cycles`, and the
-//! bubbles the polling engine would have injected (`cols` pipeline NOPs per
-//! skipped poll) are credited exactly, so cycle counts, results, and every
-//! architectural counter stay byte-identical to the polling engine
-//! (`tests/event_wake.rs` diffs the two on random programs;
-//! [`Fabric::set_polling`] keeps the shadow engine available). The only
-//! deliberately divergent counters are the scheduler diagnostics
-//! ([`Stats::active_pe_cycles`], [`Stats::orch_polls_skipped`],
-//! [`Stats::wake_events`]), which measure the work actually performed.
+//! bubbles a polling orchestrator would have injected (`cols` pipeline NOPs
+//! per skipped poll) are credited exactly, so cycle counts, results, and
+//! every architectural counter stay byte-identical to
+//! [`Engine::Reference`], which refills the wake set at every phase-2 entry
+//! and never parks a row (`tests/event_wake.rs` diffs the two on random
+//! programs). The only deliberately divergent counters are the engine
+//! diagnostics that [`RunReport::architectural`] zeroes, which measure the
+//! work actually performed.
+//!
+//! ## Engines
+//!
+//! [`CanonConfig::engine`] selects one of two engines. [`Engine::Fast`]
+//! (the default) runs the event-driven orchestrator phase above, the
+//! column-batch sweep over uniform columns ([`PeArray::batch_col`]), and
+//! steady-state replay (`crate::replay`); the last two decide for
+//! themselves from the uniformity of the issue stream. [`Engine::Reference`]
+//! is the simplest correct engine — every row stepped every cycle, the
+//! scalar per-PE sweep, no replay — and the oracle every fast path is
+//! diffed against (`tests/event_wake.rs`, `tests/batch_column.rs`,
+//! `tests/replay_differential.rs`).
 //!
 //! ## Instruction handle ring
 //!
@@ -116,7 +128,7 @@
 //! simulator verifies (rather than provides) that bound — an overflow or
 //! underflow aborts the run as a protocol error.
 
-use crate::config::CanonConfig;
+use crate::config::{CanonConfig, Engine};
 use crate::isa::{Direction, InstrHandle, InstrRing, Instruction, Plan, PlanKind, Vector, LANES};
 use crate::noc::{LinkGrid, TaggedVector};
 use crate::orchestrator::{MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram};
@@ -357,10 +369,6 @@ pub struct Fabric {
     rows: RowTable,
     /// Orchestrator-row wake bitset + delivery timers (see [`RowSched`]).
     sched: RowSched,
-    /// When true, every live row is stepped every cycle and nothing parks —
-    /// the pre-event polling engine, kept as a differential shadow for
-    /// `tests/event_wake.rs`.
-    polling: bool,
     /// Distinct row wake events raised (link, timer, and slot events).
     wake_events: u64,
     /// Issued-instruction ring; everything downstream of issue moves 4-byte
@@ -393,11 +401,6 @@ pub struct Fabric {
     cycle: u64,
     /// Sum over cycles of the active-set size (scheduler diagnostic).
     active_pe_cycles: u64,
-    /// When true (default), fabric columns whose in-flight issues are
-    /// row-uniform MAC shapes take the column-vectorized batch sweep
-    /// ([`PeArray::batch_col`]) instead of the per-PE scalar path.
-    /// Architecturally invisible either way.
-    batching: bool,
     /// PE-cycles that went through the batch fast path (scheduler
     /// diagnostic, reported as [`Stats::batched_pe_cycles`]).
     batched_pe_cycles: u64,
@@ -459,7 +462,6 @@ impl Fabric {
             grid: LinkGrid::new(cfg.rows, cfg.cols, cfg.link_fifo_depth, north_edge_feeder),
             rows,
             sched: RowSched::new(cfg.rows),
-            polling: false,
             wake_events: 0,
             // One issue per row per cycle, last read 3·cols − 1 cycles after
             // issue ⇒ the steady stream needs rows·(3·cols − 1) live
@@ -484,11 +486,10 @@ impl Fabric {
             east_collected: Vec::with_capacity(128),
             cycle: 0,
             active_pe_cycles: 0,
-            batching: cfg.batching,
             batched_pe_cycles: 0,
             issue_window: vec![IssueCell::EMPTY; (3 * cfg.cols).next_power_of_two()],
             col_batch: vec![None; cfg.cols],
-            replay: ReplayState::new(cfg.rows, cfg.replay),
+            replay: ReplayState::new(cfg.rows),
             extra_offchip_read: 0,
             extra_offchip_write: 0,
             wall_ns: 0,
@@ -507,7 +508,7 @@ impl Fabric {
     /// [`Fabric::reset`] requires every allocation-shaping parameter
     /// (geometry, memory capacities, link FIFO depth) and the north-edge
     /// kind to match. Runtime-only parameters (budgets, fault injection,
-    /// batching/replay switches, watchdog factors) may differ — the reset
+    /// the engine choice, watchdog factors) may differ — the reset
     /// re-derives them from the new configuration.
     pub fn reusable_for(&self, cfg: &CanonConfig, north_edge_feeder: bool) -> bool {
         self.north_feeder == north_edge_feeder
@@ -564,7 +565,6 @@ impl Fabric {
         self.pes.reset();
         self.grid.clear_links();
         self.sched.reset();
-        self.polling = false;
         self.wake_events = 0;
         self.ring.reset();
         self.bubble_horizon = 0;
@@ -581,11 +581,10 @@ impl Fabric {
         self.east_collected.clear();
         self.cycle = 0;
         self.active_pe_cycles = 0;
-        self.batching = cfg.batching;
         self.batched_pe_cycles = 0;
         self.issue_window.fill(IssueCell::EMPTY);
         self.col_batch.fill(None);
-        self.replay.reset(cfg.replay);
+        self.replay.reset();
         self.extra_offchip_read = 0;
         self.extra_offchip_write = 0;
         self.wall_ns = 0;
@@ -747,26 +746,6 @@ impl Fabric {
         self.sched.wake(r);
     }
 
-    /// Forces the pre-event **polling engine**: every live row is stepped
-    /// every cycle and pure waits never park. Architectural behaviour is
-    /// identical to the event-driven default (that equivalence is what
-    /// `tests/event_wake.rs` pins); only the scheduler diagnostics
-    /// ([`Stats::orch_polls_skipped`], [`Stats::wake_events`],
-    /// [`Stats::active_pe_cycles`]) differ. Must be set before stepping.
-    pub fn set_polling(&mut self, polling: bool) {
-        self.replay_interrupt();
-        self.polling = polling;
-    }
-
-    /// Enables/disables the column-vectorized batch fast path (default
-    /// **on**). Architectural behaviour — cycle counts, results, stats,
-    /// stall breakdowns, collector and trace streams — is identical either
-    /// way (`tests/batch_column.rs` diffs the two on random programs); only
-    /// the [`Stats::batched_pe_cycles`] diagnostic differs.
-    pub fn set_batching(&mut self, batching: bool) {
-        self.batching = batching;
-    }
-
     /// Attaches a trace sink: from the next cycle on, every engine layer
     /// records cycle-stamped [`crate::trace::TraceEvent`]s into it. Attach
     /// **before the first cycle** for a stream that
@@ -902,15 +881,13 @@ impl Fabric {
         if self.rows.programs[r].is_none() || (self.rows.done(r) && !has_deliverable_msg) {
             // Drained: sleep until the next queued message (if any) becomes
             // deliverable. Done rows never re-park, so no settling needed.
-            if !self.polling {
-                self.sched.sleep(r);
-                if let Some(&(deliver, _)) = self.rows.inbox[r].front() {
-                    self.sched.arm(r, deliver);
-                }
+            self.sched.sleep(r);
+            if let Some(&(deliver, _)) = self.rows.inbox[r].front() {
+                self.sched.arm(r, deliver);
             }
             return Ok(());
         }
-        // Settle a parked window: the polling engine would have stepped
+        // Settle a parked window: the reference engine would have stepped
         // this row on every skipped cycle, repeating the parked pure-wait —
         // one orchestrator step (and stall, if stalled) plus one issued
         // bubble per cycle. Steps and stalls are credited here; the bubbles
@@ -968,7 +945,7 @@ impl Fabric {
             self.rows.inbox[r].pop_front();
             // Slot event: the northern row's `msg_slot_free` observable may
             // have flipped.
-            if r > 0 && !self.polling && self.sched.wake(r - 1) {
+            if r > 0 && self.sched.wake(r - 1) {
                 self.wake_events += 1;
                 if let Some(tr) = self.trace.as_deref_mut() {
                     tr.on_wake(now, r - 1, WakeSource::SlotFreed);
@@ -990,10 +967,8 @@ impl Fabric {
             self.rows.credit_returns[r - 1].push_back(deliver);
             // Timed event: the row above observes the credit at `deliver`
             // (with zero latency, at its next step — it precedes us in the
-            // dispatch order, exactly as under polling).
-            if !self.polling {
-                self.sched.arm(r - 1, deliver);
-            }
+            // dispatch order, exactly as under the reference engine).
+            self.sched.arm(r - 1, deliver);
         }
         if let Some(m) = action.msg_out() {
             self.rows.messages_sent[r] += 1;
@@ -1006,21 +981,19 @@ impl Fabric {
                 }
                 let deliver = now + self.cfg.orch_msg_latency;
                 self.rows.inbox[r + 1].push_back((deliver, m));
-                if !self.polling {
-                    if deliver <= now {
-                        // Zero-latency message: the southern row observes it
-                        // this very cycle (it follows us in dispatch order),
-                        // so a timer — checked at phase start — would be a
-                        // cycle late.
-                        if self.sched.wake(r + 1) {
-                            self.wake_events += 1;
-                            if let Some(tr) = self.trace.as_deref_mut() {
-                                tr.on_wake(now, r + 1, WakeSource::Message);
-                            }
+                if deliver <= now {
+                    // Zero-latency message: the southern row observes it
+                    // this very cycle (it follows us in dispatch order), so
+                    // a timer — checked at phase start — would be a cycle
+                    // late.
+                    if self.sched.wake(r + 1) {
+                        self.wake_events += 1;
+                        if let Some(tr) = self.trace.as_deref_mut() {
+                            tr.on_wake(now, r + 1, WakeSource::Message);
                         }
-                    } else {
-                        self.sched.arm(r + 1, deliver);
                     }
+                } else {
+                    self.sched.arm(r + 1, deliver);
                 }
             }
         }
@@ -1073,8 +1046,9 @@ impl Fabric {
             tr.on_orch_step(now, r, &action, issued_handle);
         }
         // Park decision: a pure wait (and only a pure wait) leaves the wake
-        // set; everything else keeps the row due next cycle.
-        if !self.polling
+        // set; everything else keeps the row due next cycle. The reference
+        // engine never parks.
+        if self.cfg.engine == Engine::Fast
             && action.parks()
             && instr.is_plain_nop()
             && !action.consumes_input()
@@ -1127,7 +1101,7 @@ impl Fabric {
                         }
                         self.extra_offchip_read += self.feeder_bytes_per_token;
                         self.active.insert(c);
-                        if c == 0 && !self.polling && self.sched.wake(0) {
+                        if c == 0 && self.sched.wake(0) {
                             self.wake_events += 1;
                             if let Some(tr) = self.trace.as_deref_mut() {
                                 tr.on_wake(now, 0, WakeSource::Feeder);
@@ -1140,7 +1114,7 @@ impl Fabric {
 
         // 2. Orchestrator phase, event-driven: fire due delivery timers,
         // then step only woken rows (ascending order — identical dispatch
-        // order to the polling engine, which matters for message-channel
+        // order to the reference engine, which matters for message-channel
         // checks). Credits are delivered lazily at dispatch: rows observe
         // them only in their own step, so a sleeping row's queue can wait.
         // A finished orchestrator is still stepped while deliverable
@@ -1153,26 +1127,34 @@ impl Fabric {
         } else {
             self.wake_events += self.sched.fire_due(now);
         }
-        if self.polling || !self.sched.all_asleep() {
+        // The reference engine steps every row every cycle: it refills the
+        // wake set here (and never parks a row, see `step_row`).
+        if self.cfg.engine == Engine::Reference {
             for r in 0..nrows {
-                if !self.polling && !self.sched.is_awake(r) {
+                self.sched.wake(r);
+            }
+        }
+        if !self.sched.all_asleep() {
+            for r in 0..nrows {
+                if !self.sched.is_awake(r) {
                     continue;
                 }
                 self.step_row(r, now)?;
             }
         }
 
-        // 2b. Steady-state replay gate: when the engine is engaged and this
-        // cycle is *clean* (every row issued one uniform MAC shape — pure
-        // PE-local arithmetic, no NoC drives, no sink pushes, no wakes), the
-        // whole PE sweep is deferred: the freshly issued operands are
-        // harvested into the capture timeline and phases 3–6 are skipped
-        // (the pipeline does not advance; it is reconstructed at flush).
+        // 2b. Steady-state replay gate: when the fast engine runs untraced
+        // and this cycle is *clean* (every row issued one uniform MAC shape
+        // — pure PE-local arithmetic, no NoC drives, no sink pushes, no
+        // wakes), the whole PE sweep is deferred: the freshly issued
+        // operands are harvested into the capture timeline and phases 3–6
+        // are skipped (the pipeline does not advance; it is reconstructed
+        // at flush).
         // Orchestrators, feeders, credits, and messages stepped honestly
         // above, so the first non-clean cycle falls through here, settles
         // the stretch arithmetically, and resumes cycle-stepping — making
         // replay architecturally invisible (see `crate::replay`).
-        if self.replay.enabled && self.trace.is_none() && !self.polling && self.replay_tick(now) {
+        if self.cfg.engine == Engine::Fast && self.trace.is_none() && self.replay_tick(now) {
             self.cycle += 1;
             return Ok(());
         }
@@ -1217,29 +1199,34 @@ impl Fabric {
             let cell = &win[(t & win_mask) as usize];
             (cell.cycle == t && cell.prefix > 0).then_some((cell.kind, cell.prefix))
         };
-        for c in 0..cols {
-            self.col_batch[c] = None;
-            if !self.batching || now < 3 * c as u64 + 2 {
-                continue;
-            }
-            let t_load = now - 3 * c as u64;
-            let (Some((commit_kind, p0)), Some((_, p1)), Some((load_kind, p2))) =
-                (uniform(t_load - 2), uniform(t_load - 1), uniform(t_load))
-            else {
-                continue;
-            };
-            // Batch the common uniform prefix of the three issue cycles
-            // occupying this column's pipeline slots; rows at and beyond the
-            // prefix stay on the scalar path. Short prefixes are not worth
-            // the pass setup.
-            let p = p0.min(p1).min(p2);
-            if (p as usize) < nrows && p < MIN_BATCH_PREFIX {
-                continue;
-            }
-            self.col_batch[c] = Some((commit_kind, load_kind, p));
-            batched_cols += 1;
-            if p as usize == nrows {
-                full_cols += 1;
+        // The detector is part of the fast engine: under the reference
+        // engine `col_batch` stays all-`None` (as built) and every PE takes
+        // the scalar path.
+        if self.cfg.engine == Engine::Fast {
+            for c in 0..cols {
+                self.col_batch[c] = None;
+                if now < 3 * c as u64 + 2 {
+                    continue;
+                }
+                let t_load = now - 3 * c as u64;
+                let (Some((commit_kind, p0)), Some((_, p1)), Some((load_kind, p2))) =
+                    (uniform(t_load - 2), uniform(t_load - 1), uniform(t_load))
+                else {
+                    continue;
+                };
+                // Batch the common uniform prefix of the three issue
+                // cycles occupying this column's pipeline slots; rows at and
+                // beyond the prefix stay on the scalar path. Short prefixes
+                // are not worth the pass setup.
+                let p = p0.min(p1).min(p2);
+                if (p as usize) < nrows && p < MIN_BATCH_PREFIX {
+                    continue;
+                }
+                self.col_batch[c] = Some((commit_kind, load_kind, p));
+                batched_cols += 1;
+                if p as usize == nrows {
+                    full_cols += 1;
+                }
             }
         }
         // When every column batches every row (a fully MAC-saturated
@@ -1325,7 +1312,7 @@ impl Fabric {
                                 self.active.insert(idx + cols);
                                 // Link event: a column-0 south push changes the
                                 // consuming row's `north_tokens` observable.
-                                if c == 0 && !self.polling && self.sched.wake(r + 1) {
+                                if c == 0 && self.sched.wake(r + 1) {
                                     self.wake_events += 1;
                                     if let Some(tr) = self.trace.as_deref_mut() {
                                         tr.on_wake(now, r + 1, WakeSource::Link);
@@ -1497,23 +1484,11 @@ impl Fabric {
         Ok(())
     }
 
-    /// Enables/disables the steady-state replay engine (default: the
-    /// [`CanonConfig::replay`] knob). Architectural behaviour — cycle
-    /// counts, results, stats, stall breakdowns, collector and trace streams
-    /// — is identical either way (`tests/replay_differential.rs` diffs the
-    /// two on random programs); only the [`Stats::replayed_cycles`] /
-    /// [`Stats::replay_stretches`] diagnostics differ. An active stretch is
-    /// flushed before the switch takes effect.
-    pub fn set_replay(&mut self, replay: bool) {
-        self.replay_interrupt();
-        self.replay.enabled = replay;
-    }
-
     /// Settles any active replay stretch so every architectural structure
     /// (PE pipelines, injection queue, accumulator storage) is current.
     /// Called by every mutator that could invalidate the capture or observe
-    /// deferred state (program/meta/feeder swaps, trace attach, engine
-    /// switches, direct PE access).
+    /// deferred state (program/meta/feeder swaps, trace attach, direct PE
+    /// access).
     fn replay_interrupt(&mut self) {
         if self.replay.active {
             self.replay_flush(self.cycle);
@@ -1534,9 +1509,7 @@ impl Fabric {
             if clean && kind == self.replay.kind && self.replay_harvest() {
                 self.replay.deferred_cycles += 1;
                 self.active_pe_cycles += self.active.count() as u64;
-                if self.batching {
-                    self.batched_pe_cycles += self.cfg.pe_count() as u64;
-                }
+                self.batched_pe_cycles += self.cfg.pe_count() as u64;
                 if self.replay.tl[0].len() >= REPLAY_CHUNK {
                     self.replay_absorb_to(now + 1);
                     self.replay.compact(cols);
@@ -1559,9 +1532,7 @@ impl Fabric {
                 self.replay.stretches += 1;
                 self.replay.deferred_cycles += 1;
                 self.active_pe_cycles += self.active.count() as u64;
-                if self.batching {
-                    self.batched_pe_cycles += self.cfg.pe_count() as u64;
-                }
+                self.batched_pe_cycles += self.cfg.pe_count() as u64;
                 return true;
             }
         } else {
@@ -1908,7 +1879,7 @@ impl Fabric {
             stats.meta_tokens += self.rows.meta_consumed[r];
             // Skipped polls, including a still-parked tail (reports taken
             // after a watchdog/protocol abort): each skipped poll is one
-            // orchestrator step (+ stall) the polling engine would have
+            // orchestrator step (+ stall) the reference engine would have
             // performed, plus one bubble traversing the row's `cols` PEs.
             let mut skipped = self.rows.polls_skipped[r];
             if self.rows.parked_at[r] != NEVER {

@@ -59,7 +59,7 @@ pub mod sched;
 pub mod stats;
 pub mod trace;
 
-pub use config::CanonConfig;
+pub use config::{CanonConfig, Engine};
 pub use fabric::Fabric;
 pub use fault::{FaultAction, FaultPlan};
 pub use isa::{Addr, Instruction, Opcode, Vector, LANES};

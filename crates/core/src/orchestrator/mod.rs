@@ -254,7 +254,7 @@ impl OrchAction {
     /// only when an observable input changes (a link event, a delivered
     /// message or credit, a freed message slot); the skipped cycles are
     /// accounted as if polled — `orch_steps`, `stall_cycles`, and the
-    /// issued bubbles stay byte-identical to the polling engine.
+    /// issued bubbles stay byte-identical to the reference engine.
     ///
     /// A parkable action must be observably idle: a plain-NOP instruction,
     /// no consumption, no outgoing message. [`OrchAction::stall`] sets this

@@ -10,8 +10,8 @@
 //! buffer each cycle's issue operands and settle the whole stretch as a
 //! chain of multiply-accumulates when the stretch ends.
 //!
-//! The engine (owned by [`crate::Fabric`], enabled by
-//! [`crate::CanonConfig::replay`]) works in three phases:
+//! The engine (owned by [`crate::Fabric`], part of
+//! [`crate::Engine::Fast`]) works in three phases:
 //!
 //! 1. **Detection** — the fabric's per-cycle issue-uniformity cells (the
 //!    same `issue_window` the column-batch detector folds at issue time)
@@ -38,14 +38,15 @@
 //!    Long stretches are absorbed into storage in bounded chunks so the
 //!    timeline never grows past a few KB per row.
 //!
-//! Replay is architecturally invisible: cycle counts, every [`crate::Stats`]
-//! counter (including the stall breakdown), collector streams, and fault
-//! sentinels are byte-identical with replay on or off
+//! Replay is architecturally invisible: cycle counts, every architectural
+//! [`crate::Stats`] counter (including the stall breakdown), collector
+//! streams, and fault sentinels are byte-identical to
+//! [`crate::Engine::Reference`], which never replays
 //! (`tests/replay_differential.rs` pins this differentially). The only
-//! divergent counters are the scheduler diagnostics
+//! divergent counters are the engine diagnostics, among them
 //! [`crate::Stats::replayed_cycles`] and [`crate::Stats::replay_stretches`].
 //! The engine disengages itself while a trace sink is attached (traces need
-//! the per-cycle event order) or the polling shadow engine is forced.
+//! the per-cycle event order).
 
 use crate::isa::{Addr, Instruction, Opcode, Plan, PlanKind, Vector};
 
@@ -142,8 +143,6 @@ impl ReplayEntry {
 /// the detect → capture → flush life cycle).
 #[derive(Debug)]
 pub(crate) struct ReplayState {
-    /// Master switch ([`crate::CanonConfig::replay`]).
-    pub enabled: bool,
     /// Consecutive clean cycles ending at the last stepped cycle (reset on
     /// any non-clean cycle and on a failed entry/template break, so entry
     /// attempts stay amortized over `3·cols` cycles).
@@ -171,9 +170,8 @@ pub(crate) struct ReplayState {
 }
 
 impl ReplayState {
-    pub(crate) fn new(rows: usize, enabled: bool) -> ReplayState {
+    pub(crate) fn new(rows: usize) -> ReplayState {
         ReplayState {
-            enabled,
             run_len: 0,
             active: false,
             kind: PlanKind::Generic,
@@ -188,10 +186,8 @@ impl ReplayState {
     }
 
     /// Returns the engine to its post-construction state for fabric reuse,
-    /// keeping timeline allocations. `enabled` is taken from the new
-    /// configuration the fabric is being reset for.
-    pub(crate) fn reset(&mut self, enabled: bool) {
-        self.enabled = enabled;
+    /// keeping timeline allocations.
+    pub(crate) fn reset(&mut self) {
         self.run_len = 0;
         self.active = false;
         self.kind = PlanKind::Generic;

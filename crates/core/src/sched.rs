@@ -124,9 +124,10 @@ impl ActiveSet {
 
 /// Event scheduler for the per-row orchestrator phase.
 ///
-/// The polling engine rebuilt every live row's [`OrchIo`](crate::orchestrator::OrchIo)
-/// each cycle. Under event-driven wakeups the fabric instead visits only
-/// rows whose observable inputs may have changed since their last decision:
+/// The reference engine ([`crate::Engine::Reference`]) rebuilds every live
+/// row's [`OrchIo`](crate::orchestrator::OrchIo) each cycle. Under
+/// event-driven wakeups the fast engine instead visits only rows whose
+/// observable inputs may have changed since their last decision:
 ///
 /// * the **wake bitset** holds rows that must be stepped next cycle — a row
 ///   stays in it while it makes progress, is inserted by link events (a

@@ -168,29 +168,32 @@ pub struct Stats {
     /// actually performs; the remainder is work the pre-scheduler simulator
     /// swept through for nothing.
     pub active_pe_cycles: u64,
-    /// Orchestrator polls the event-driven engine skipped: row-cycles on
-    /// which a live row was parked on a pure wait and the polling engine
-    /// would have rebuilt its `OrchIo` and re-stepped its FSM for the same
-    /// decision. A scheduler diagnostic — the architectural counters
-    /// (`orch_steps`, `stall_cycles`, issued bubbles) already include these
-    /// cycles as if polled.
+    /// Orchestrator polls the fast engine skipped: row-cycles on which a
+    /// live row was parked on a pure wait and the reference engine, which
+    /// steps every row every cycle, would have rebuilt its `OrchIo` and
+    /// re-stepped its FSM for the same decision. A scheduler diagnostic —
+    /// the architectural counters (`orch_steps`, `stall_cycles`, issued
+    /// bubbles) already include these cycles as if polled (always 0 under
+    /// [`crate::Engine::Reference`]).
     pub orch_polls_skipped: u64,
     /// Distinct row wake events raised into the orchestrator wake set (link
     /// events, delivery timers, freed message slots). A scheduler
     /// diagnostic: `wake_events / orch_steps` is how event-driven the run
-    /// was (0 under pure polling).
+    /// was (under [`crate::Engine::Reference`] every row is stepped every
+    /// cycle whatever the wake set holds).
     pub wake_events: u64,
     /// PE-cycles executed through the column-vectorized batch fast path
     /// (whole-row LOAD+COMMIT passes over the SoA slabs when every pipeline
     /// slot of a row holds the same MAC plan shape). A scheduler diagnostic:
     /// `batched_pe_cycles / active_pe_cycles` is the batch hit rate — the
-    /// fraction of swept PE work the uniformity detector vectorized. The
-    /// architectural counters are identical either way.
+    /// fraction of swept PE work the uniformity detector vectorized (always
+    /// 0 under [`crate::Engine::Reference`]). The architectural counters are
+    /// identical either way.
     pub batched_pe_cycles: u64,
     /// Cycles fast-forwarded by the steady-state replay engine: the PE-array
     /// sweep of these cycles was deferred and settled arithmetically at the
     /// next stretch flush (see `crate::replay`). A scheduler diagnostic —
-    /// every architectural counter is identical with replay on or off;
+    /// every architectural counter is identical under either engine;
     /// `replayed_cycles / cycles` is the fraction of the run the engine
     /// fast-forwarded.
     pub replayed_cycles: u64,
@@ -266,6 +269,24 @@ impl PartialEq for RunReport {
 }
 
 impl RunReport {
+    /// This report with the engine diagnostics zeroed: `active_pe_cycles`,
+    /// `orch_polls_skipped`, `wake_events`, `batched_pe_cycles`,
+    /// `replayed_cycles`, and `replay_stretches` measure the work the
+    /// engine performed, so they are the only counters allowed to differ
+    /// between [`crate::Engine::Reference`] and [`crate::Engine::Fast`]
+    /// runs of one program. Everything this keeps must match exactly.
+    pub fn architectural(&self) -> RunReport {
+        let mut r = self.clone();
+        let s = &mut r.stats;
+        s.active_pe_cycles = 0;
+        s.orch_polls_skipped = 0;
+        s.wake_events = 0;
+        s.batched_pe_cycles = 0;
+        s.replayed_cycles = 0;
+        s.replay_stretches = 0;
+        r
+    }
+
     /// Simulator throughput: simulated cycles per host wall-clock second.
     /// Zero when no wall time was recorded.
     pub fn cycles_per_sec(&self) -> f64 {

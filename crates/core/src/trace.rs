@@ -7,7 +7,7 @@
 //! fabric drives from every engine layer: orchestrator FSM decisions
 //! (instruction issues, bubble steps, coalesced wait spans with their
 //! [`StallCause`]), PE commits, NoC link hops, off-chip bursts, collector
-//! emits, and (in event-driven mode) row wake/park scheduler diagnostics.
+//! emits, and row wake/park scheduler diagnostics.
 //! When no sink is attached the fabric's hot loops pay one untaken branch —
 //! the `repro bench --check` alloc/throughput gates pin that the trace-off
 //! engine is unchanged.
@@ -18,10 +18,11 @@
 //! reconstructs the run's full [`Stats`] — including the per-cause stall
 //! breakdown summing to `stall_cycles` — byte-for-byte from the events
 //! alone, provided the sink was attached before the first cycle. The
-//! event-driven engine and the `set_polling(true)` shadow emit *identical*
+//! fast and reference engines ([`crate::Engine`]) emit *identical*
 //! architectural streams (wait spans are coalesced identically whether the
-//! waiting row was parked or polled; see [`TraceEvent::is_architectural`]);
-//! `tests/event_wake.rs` diffs the two.
+//! waiting row was parked or polled, and batched columns emit the commit
+//! events the scalar sweep would; see [`TraceEvent::is_architectural`]);
+//! `tests/event_wake.rs` and `tests/replay_differential.rs` diff the two.
 //!
 //! ## Consumers
 //!
@@ -49,8 +50,9 @@ use crate::orchestrator::OrchAction;
 use crate::stats::{RunReport, StallCause, Stats};
 use std::sync::{Arc, Mutex};
 
-/// Why an orchestrator row was moved back into the wake set (event-driven
-/// engine diagnostics; never emitted under polling).
+/// Why an orchestrator row was moved back into the wake set (scheduler
+/// diagnostics; the reference engine also refills the wake set wholesale
+/// every cycle, which is not recorded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WakeSource {
     /// A north-edge feeder token landed on column 0.
@@ -92,8 +94,8 @@ impl WakeSource {
 /// The architectural subset (see [`TraceEvent::is_architectural`]) is
 /// engine-independent; the scheduler diagnostics ([`TraceEvent::RowWake`],
 /// [`TraceEvent::RowPark`], the [`TraceEvent::RunEnd`] footer) describe the
-/// work actually performed and legitimately differ between the event-driven
-/// engine and the polling shadow.
+/// work actually performed and legitimately differ between the fast and
+/// reference engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Stream header: geometry plus counter bases at attach time (all zero
@@ -428,7 +430,7 @@ impl TraceRecorder {
     }
 
     /// Extends row `row`'s pending wait span by `skipped` settled cycles
-    /// (the event engine's parked-window arithmetic; the polling engine
+    /// (the fast engine's parked-window arithmetic; the reference engine
     /// records the same cycles one step at a time).
     pub fn on_settle(&mut self, row: usize, skipped: u64) {
         // A parked row always has a pending span (its park action was a
@@ -1064,7 +1066,7 @@ pub fn render_profile(events: &[TraceEvent]) -> String {
         s.wake_events, s.orch_polls_skipped
     );
     if total_wakes == 0 {
-        let _ = writeln!(out, "  (none recorded — polling engine or no parking)");
+        let _ = writeln!(out, "  (none recorded — no row parked or drained)");
     } else {
         for (i, &src) in WakeSource::ALL.iter().enumerate() {
             if mix[i] > 0 {

@@ -360,21 +360,29 @@ fn serve_connection(shared: &Shared, stream: UnixStream) {
         Err(_) => return,
     });
     let mut writer = stream;
-    let mut line = String::new();
+    // Raw bytes, not a `String`: a read-timeout tick can split a line (even
+    // mid-character), and the bytes read before it must survive until the
+    // rest of the line arrives. The buffer is cleared only once a complete
+    // line has been handled.
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return, // EOF
+            Ok(n) => {
+                let handled = match String::from_utf8_lossy(&line).trim() {
+                    "" => None,
+                    request => Some(handle_request(shared, request)),
+                };
+                line.clear();
+                if let Some((reply, close)) = handled {
+                    let mut out = reply.to_line();
+                    out.push('\n');
+                    if writer.write_all(out.as_bytes()).is_err() || close {
+                        return;
+                    }
                 }
-                let (reply, close) = handle_request(shared, trimmed);
-                let mut out = reply.to_line();
-                out.push('\n');
-                if writer.write_all(out.as_bytes()).is_err() || close {
-                    return;
+                if n == 0 {
+                    return; // EOF after an unterminated final line
                 }
             }
             Err(e)

@@ -471,3 +471,26 @@ fn second_store_user_fails_fast_while_daemon_holds_the_lock() {
     // Lock released on daemon exit.
     drop(canon_sweep::StoreLock::acquire(&opts.store).unwrap());
 }
+
+#[test]
+fn request_split_across_read_timeouts_is_reassembled() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = scratch("split");
+    let (handle, socket) = start_daemon(opts_for(&dir));
+
+    // The daemon polls its connections with a 100 ms read timeout; a pause
+    // of several ticks inside one request line must not lose its prefix.
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    stream.write_all(br#"{"cmd":"sta"#).unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    stream.write_all(b"tus\"}\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    assert!(
+        matches!(Reply::parse(reply.trim()), Ok(Reply::Status(_))),
+        "expected a status reply, got {reply}"
+    );
+
+    drop(stream);
+    shutdown_and_join(&socket, handle);
+}

@@ -1,15 +1,14 @@
-//! Wake-correctness differential: the event-driven orchestrator engine must
-//! fire on exactly the cycles the polling engine would.
+//! Wake-correctness differential: the fast engine's event-driven
+//! orchestrator phase must fire on exactly the cycles a polling one would.
 //!
-//! The fabric keeps the pre-event polling engine available as a shadow
-//! ([`Fabric::set_polling`]): every live row is stepped every cycle and
-//! pure waits never park. These properties run the same random program on
-//! both engines and diff everything the orchestrators' decisions can
-//! influence — cycle counts, every architectural counter (including the
-//! lazily-settled `orch_steps` / `stall_cycles` / bubble latches of parked
-//! windows), and the full south/east collector sequences with their exit
-//! cycles. A missed wake shows up as a deadlock or a cycle-count drift; a
-//! spurious decision as a counter or collector diff.
+//! [`Engine::Reference`] steps every live row every cycle and never parks a
+//! pure wait. These properties run the same random program on it and on
+//! the default [`Engine::Fast`] and diff everything the orchestrators'
+//! decisions can influence — cycle counts, every architectural counter
+//! (including the lazily-settled `orch_steps` / `stall_cycles` / bubble
+//! latches of parked windows), and the full south/east collector sequences
+//! with their exit cycles. A missed wake shows up as a deadlock or a
+//! cycle-count drift; a spurious decision as a counter or collector diff.
 //!
 //! Shapes are chosen to exercise every wake source: shallow scratchpad
 //! windows force credit stalls (timer wakes), skewed streams drain rows at
@@ -26,7 +25,7 @@ use canon::arch::orchestrator::assembler;
 use canon::arch::orchestrator::MetaToken;
 use canon::arch::stats::RunReport;
 use canon::arch::trace::{replay_stats, VecSink};
-use canon::arch::{CanonConfig, Fabric};
+use canon::arch::{CanonConfig, Engine, Fabric};
 use canon::sparse::{gen, Dense};
 use proptest::prelude::*;
 
@@ -56,12 +55,14 @@ fn spmm_fabric(
     depth: usize,
     seed: u64,
     kind: ProgramKind,
+    engine: Engine,
 ) -> Fabric {
     let cfg = CanonConfig {
         rows,
         cols,
         dmem_words: 64,
         spad_entries: 16,
+        engine,
         ..CanonConfig::default()
     };
     let k = rows * 4;
@@ -87,41 +88,24 @@ fn spmm_fabric(
     fabric
 }
 
-/// Asserts two engines produced identical architectural outcomes. The
-/// scheduler diagnostics (`active_pe_cycles`, `orch_polls_skipped`,
-/// `wake_events`) are *expected* to differ — they measure work performed,
-/// and performing less of it is the event engine's purpose.
-fn assert_equivalent(event: (&Fabric, &RunReport), polling: (&Fabric, &RunReport)) {
-    let (ef, er) = event;
-    let (pf, pr) = polling;
-    assert_eq!(er.cycles, pr.cycles, "cycle count diverged");
-    let (e, p) = (&er.stats, &pr.stats);
-    assert_eq!(e.instrs_executed, p.instrs_executed, "instruction latches");
-    assert_eq!(e.compute_instrs, p.compute_instrs);
-    assert_eq!(e.mac_instrs, p.mac_instrs);
-    assert_eq!(e.dmem_reads, p.dmem_reads);
-    assert_eq!(e.dmem_writes, p.dmem_writes);
-    assert_eq!(e.spad_reads, p.spad_reads);
-    assert_eq!(e.spad_writes, p.spad_writes);
-    assert_eq!(e.noc_hops, p.noc_hops);
-    assert_eq!(e.orch_steps, p.orch_steps, "orchestrator fire cycles");
-    assert_eq!(e.orch_transitions, p.orch_transitions);
-    assert_eq!(e.orch_messages, p.orch_messages);
-    assert_eq!(e.stall_cycles, p.stall_cycles, "stall accounting");
-    assert_eq!(e.stall_breakdown, p.stall_breakdown, "stall attribution");
-    assert_eq!(e.meta_tokens, p.meta_tokens);
-    assert_eq!(e.offchip_read_bytes, p.offchip_read_bytes);
-    assert_eq!(e.offchip_write_bytes, p.offchip_write_bytes);
-    // Collector sequences pin the *when* of every decision: an instruction
-    // issued one cycle late by a missed wake shifts its exit cycle.
+/// Asserts two engines produced identical architectural outcomes: the
+/// reports agree once [`RunReport::architectural`] zeroes the engine
+/// diagnostics (which measure work performed — performing less of it is
+/// the fast engine's purpose), and the collector sequences pin the *when*
+/// of every decision: an instruction issued one cycle late by a missed wake
+/// shifts its exit cycle.
+fn assert_equivalent(fast: (&Fabric, &RunReport), reference: (&Fabric, &RunReport)) {
+    let (ff, fr) = fast;
+    let (rf, rr) = reference;
+    assert_eq!(fr.architectural(), rr.architectural(), "reports diverged");
     assert_eq!(
-        ef.south_collected(),
-        pf.south_collected(),
+        ff.south_collected(),
+        rf.south_collected(),
         "south collector sequence diverged"
     );
     assert_eq!(
-        ef.east_collected(),
-        pf.east_collected(),
+        ff.east_collected(),
+        rf.east_collected(),
         "east collector sequence diverged"
     );
 }
@@ -130,7 +114,7 @@ fn assert_equivalent(event: (&Fabric, &RunReport), polling: (&Fabric, &RunReport
 /// small fixed geometry): stationary `B` tiles, north-edge `A` feeders —
 /// the feeder-token wake path — and `SddmmFsm` rows whose `LoadA` waits
 /// stall on `north_tokens`.
-fn sddmm_fabric(m: usize, mask_density: f64, seed: u64) -> Fabric {
+fn sddmm_fabric(m: usize, mask_density: f64, seed: u64, engine: Engine) -> Fabric {
     let (rows, cols) = (2usize, 2usize);
     let (n, k) = (rows * 2, cols * LANES); // H = 2, W = 1
     let (h, w) = (n / rows, k / (cols * LANES));
@@ -139,6 +123,7 @@ fn sddmm_fabric(m: usize, mask_density: f64, seed: u64) -> Fabric {
         cols,
         dmem_words: 16,
         spad_entries: 8,
+        engine,
         ..CanonConfig::default()
     };
     let mut rng = gen::seeded_rng(seed);
@@ -218,23 +203,22 @@ proptest! {
             1 => ProgramKind::RegAcc,
             _ => ProgramKind::Lut,
         };
-        let mut event = spmm_fabric(rows, cols, m, sparsity, depth, seed, kind);
-        let mut polling = spmm_fabric(rows, cols, m, sparsity, depth, seed, kind);
-        polling.set_polling(true);
+        let build = |engine| spmm_fabric(rows, cols, m, sparsity, depth, seed, kind, engine);
+        let (mut fast, mut reference) = (build(Engine::Fast), build(Engine::Reference));
         let (sink_e, sink_p) = (VecSink::default(), VecSink::default());
-        event.set_trace_sink(Box::new(sink_e.clone()));
-        polling.set_trace_sink(Box::new(sink_p.clone()));
-        let er = event.run().expect("event engine drains");
-        let pr = polling.run().expect("polling engine drains");
-        event.take_trace_sink();
-        polling.take_trace_sink();
-        // The event engine skipped polls without skipping decisions.
-        assert_equivalent((&event, &er), (&polling, &pr));
+        fast.set_trace_sink(Box::new(sink_e.clone()));
+        reference.set_trace_sink(Box::new(sink_p.clone()));
+        let er = fast.run().expect("fast engine drains");
+        let pr = reference.run().expect("reference engine drains");
+        fast.take_trace_sink();
+        reference.take_trace_sink();
+        // The fast engine skipped polls without skipping decisions.
+        assert_equivalent((&fast, &er), (&reference, &pr));
         prop_assert!(er.stats.wake_events > 0, "no wake events recorded");
-        prop_assert_eq!(pr.stats.orch_polls_skipped, 0, "polling engine must not skip");
+        prop_assert_eq!(pr.stats.orch_polls_skipped, 0, "reference engine must not skip");
         // Both engines must emit byte-identical *architectural* event
         // streams — parked windows coalesce into the same wait spans the
-        // polling engine records step by step. (Scheduler diagnostics —
+        // reference engine records step by step. (Scheduler diagnostics —
         // RowWake/RowPark/RunEnd — legitimately differ.)
         let events_e = sink_e.take_events();
         let events_p = sink_p.take_events();
@@ -242,8 +226,8 @@ proptest! {
         let arch_p: Vec<_> = events_p.iter().filter(|e| e.is_architectural()).collect();
         prop_assert_eq!(arch_e, arch_p, "architectural trace streams diverged");
         // And each stream must replay into its own engine's exact report.
-        prop_assert_eq!(replay_stats(&events_e), er.clone(), "event-engine trace replay");
-        prop_assert_eq!(replay_stats(&events_p), pr.clone(), "polling-engine trace replay");
+        prop_assert_eq!(replay_stats(&events_e), er.clone(), "fast-engine trace replay");
+        prop_assert_eq!(replay_stats(&events_p), pr.clone(), "reference-engine trace replay");
     }
 
     /// SDDMM with north-edge feeders: pins the feeder-token and
@@ -255,31 +239,30 @@ proptest! {
         m in 1usize..12,
         density in 0.0f64..1.0,
     ) {
-        let mut event = sddmm_fabric(m, density, seed);
-        let mut polling = sddmm_fabric(m, density, seed);
-        polling.set_polling(true);
+        let mut fast = sddmm_fabric(m, density, seed, Engine::Fast);
+        let mut reference = sddmm_fabric(m, density, seed, Engine::Reference);
         let (sink_e, sink_p) = (VecSink::default(), VecSink::default());
-        event.set_trace_sink(Box::new(sink_e.clone()));
-        polling.set_trace_sink(Box::new(sink_p.clone()));
-        let er = event.run().expect("event engine drains");
-        let pr = polling.run().expect("polling engine drains");
-        event.take_trace_sink();
-        polling.take_trace_sink();
-        assert_equivalent((&event, &er), (&polling, &pr));
+        fast.set_trace_sink(Box::new(sink_e.clone()));
+        reference.set_trace_sink(Box::new(sink_p.clone()));
+        let er = fast.run().expect("fast engine drains");
+        let pr = reference.run().expect("reference engine drains");
+        fast.take_trace_sink();
+        reference.take_trace_sink();
+        assert_equivalent((&fast, &er), (&reference, &pr));
         let events_e = sink_e.take_events();
         let arch_e: Vec<_> = events_e.iter().filter(|e| e.is_architectural()).collect();
         let arch_p_events = sink_p.take_events();
         let arch_p: Vec<_> = arch_p_events.iter().filter(|e| e.is_architectural()).collect();
         prop_assert_eq!(arch_e, arch_p, "architectural trace streams diverged");
-        prop_assert_eq!(replay_stats(&events_e), er.clone(), "event-engine trace replay");
+        prop_assert_eq!(replay_stats(&events_e), er.clone(), "fast-engine trace replay");
     }
 }
 
-/// SDDMM end to end through the kernel mapper (which owns its fabric, so
-/// no polling twin exists here — the engine differential for the feeder
-/// paths is `event_engine_matches_polling_on_sddmm_feeders` above): the
-/// event-engine result must match the reference, and the `LoadA` stall
-/// path must actually have parked rows.
+/// SDDMM end to end through the kernel mapper on the default engine (the
+/// engine differential for the feeder paths is
+/// `event_engine_matches_polling_on_sddmm_feeders` above): the result must
+/// match the reference, and the `LoadA` stall path must actually have
+/// parked rows.
 #[test]
 fn sddmm_kernel_parks_on_loada_stalls_and_stays_exact() {
     let mut rng = gen::seeded_rng(99);
@@ -294,7 +277,7 @@ fn sddmm_kernel_parks_on_loada_stalls_and_stays_exact() {
         canon::arch::kernels::sddmm::run_sddmm(&CanonConfig::default(), &mapping, &mask, &a, &b)
             .expect("sddmm maps");
     assert_eq!(out.result, canon::sparse::reference::sddmm(&mask, &a, &b));
-    // SDDMM stalls on A-token availability: the event engine must have
+    // SDDMM stalls on A-token availability: the fast engine must have
     // parked (skipped polls) and still recorded the exact stall count.
     assert!(out.report.stats.stall_cycles > 0, "expected LoadA stalls");
     assert!(
@@ -304,12 +287,12 @@ fn sddmm_kernel_parks_on_loada_stalls_and_stays_exact() {
 }
 
 /// A deliberately starved fabric: one row stalls forever on a credit that
-/// never comes (its southern neighbour never pops). The event engine parks
+/// never comes (its southern neighbour never pops). The fast engine parks
 /// the row and must still hit the watchdog at the same cycle budget as the
-/// polling engine — a parked row is asleep, not forgotten.
+/// reference engine — a parked row is asleep, not forgotten.
 #[test]
 fn starved_row_still_deadlocks_identically() {
-    let mk = || {
+    let mk = |engine| {
         let cfg = CanonConfig {
             rows: 2,
             cols: 2,
@@ -317,6 +300,7 @@ fn starved_row_still_deadlocks_identically() {
             spad_entries: 4,
             watchdog_factor: 2,
             watchdog_slack: 64,
+            engine,
             ..CanonConfig::default()
         };
         let mut f = Fabric::new(&cfg, false);
@@ -335,11 +319,12 @@ fn starved_row_still_deadlocks_identically() {
         f.set_program(0, SpmmFsm::new(1, 2));
         f
     };
-    let mut event = mk();
-    let mut polling = mk();
-    polling.set_polling(true);
-    let ee = event.run().expect_err("starved event fabric deadlocks");
-    let pe = polling.run().expect_err("starved polling fabric deadlocks");
+    let ee = mk(Engine::Fast)
+        .run()
+        .expect_err("starved fast fabric deadlocks");
+    let pe = mk(Engine::Reference)
+        .run()
+        .expect_err("starved reference fabric deadlocks");
     // Same failure at the same watchdog cycle.
     assert_eq!(format!("{ee}"), format!("{pe}"));
 }

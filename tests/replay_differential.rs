@@ -1,118 +1,47 @@
-//! Replay engine differential: steady-state macro-cycle replay must be
-//! **perf-only**.
+//! Replay differential: steady-state macro-cycle replay — like every fast
+//! path of [`Engine::Fast`] — must be **perf-only**.
 //!
-//! The fabric keeps cycle-stepping available ([`Fabric::set_replay`] /
-//! [`CanonConfig::replay`]): these properties run the same random program
-//! with the replay engine enabled and force-disabled and diff everything
-//! the engine could influence — the full [`RunReport`] (cycle counts, every
-//! architectural counter, the stall breakdown, and the
-//! `batched_pe_cycles` diagnostic, which replay reproduces exactly by
-//! design) and the south/east collector sequences with their exit cycles.
-//! The only legitimate differences are the `Stats::replayed_cycles` /
-//! `Stats::replay_stretches` diagnostics themselves (they *measure* whether
-//! the engine ran), so they are normalized to zero on both sides.
+//! [`Engine::Reference`] is the simplest correct engine (every row stepped
+//! every cycle, the scalar per-PE sweep, no replay). The property runs the
+//! same random untraced program — so replay may engage — on it and on the
+//! default [`Engine::Fast`] and diffs everything an engine could influence:
+//! the full [`RunReport`](canon::arch::stats::RunReport) (cycle counts,
+//! every architectural counter, the stall breakdown) and the south/east
+//! collector sequences with their exit cycles. The only legitimate
+//! differences are the engine diagnostics, which `RunReport::architectural`
+//! zeroes in one place. Its traced twin, which isolates the batch sweep, is
+//! `batch_sweep_is_architecturally_invisible` in `tests/batch_column.rs`;
+//! both drive the shared differential in `tests/common`.
 //!
 //! Directed tests pin the rest of the contract: the detector actually
 //! fires and defers a majority of a deep dense kernel (a replay engine that
 //! never engages would pass every differential), mid-stretch divergence
 //! (an accumulator re-target) falls back to cycle-stepping without a trace,
 //! harness sentinels (`PanicAt`, `max_cycles`) fire at the exact cycle even
-//! inside a captured stretch, and an attached trace sink disengages the
-//! engine entirely.
+//! inside a captured stretch, and an attached trace sink disengages replay
+//! entirely.
+
+mod common;
 
 use canon::arch::fault::FaultAction;
 use canon::arch::isa::{Addr, Direction, Instruction, Opcode, Vector};
 use canon::arch::kernels::gemm::RegAccFsm;
-use canon::arch::kernels::spmm::{build_row_streams, preload_b_tile, SpmmFsm};
+use canon::arch::kernels::spmm::{build_row_streams, preload_b_tile};
 use canon::arch::orchestrator::{OrchAction, OrchIo, OrchProgram, RowProgram};
-use canon::arch::stats::RunReport;
 use canon::arch::trace::VecSink;
-use canon::arch::{CanonConfig, Fabric, SimError};
+use canon::arch::{CanonConfig, Engine, Fabric, SimError};
 use canon::sparse::{gen, Dense};
+use common::{assert_fast_invisible, spmm_fabric, RandomSpmm};
 use proptest::prelude::*;
-
-/// The `tests/batch_column.rs` fabric builder: an SpMM-shaped problem sized
-/// for the geometry, rows `0..regacc_rows` on the register-accumulation
-/// FSM, the rest on the window FSM. Deep dense bands are what produce the
-/// uniform stretches replay captures.
-fn spmm_fabric(
-    rows: usize,
-    cols: usize,
-    m: usize,
-    band_words: usize,
-    sparsity: f64,
-    depth: usize,
-    seed: u64,
-    regacc_rows: usize,
-    replay: bool,
-) -> Fabric {
-    let cfg = CanonConfig {
-        rows,
-        cols,
-        dmem_words: band_words.max(64),
-        spad_entries: 16,
-        replay,
-        ..CanonConfig::default()
-    };
-    let k = rows * band_words;
-    let mut rng = gen::seeded_rng(seed);
-    let a = gen::skewed_sparse(m, k, sparsity, 2.0, &mut rng);
-    let b = Dense::random(k, cols * 4, &mut rng);
-    let streams = build_row_streams(&a, rows).expect("K is a multiple of rows");
-    let mut fabric = Fabric::new(&cfg, false);
-    preload_b_tile(&mut fabric, &b, k / rows, 0).expect("tile fits");
-    for (r, stream) in streams.into_iter().enumerate() {
-        fabric.set_meta_stream(r, stream);
-        if r < regacc_rows {
-            fabric.set_program(r, RegAccFsm::new(m));
-        } else {
-            fabric.set_program(r, SpmmFsm::new(depth, m));
-        }
-    }
-    fabric
-}
-
-/// The report with the diagnostics that *name* the executing engine zeroed
-/// out — everything else, `batched_pe_cycles` included, must match exactly.
-fn normalized(mut report: RunReport) -> RunReport {
-    report.stats.replayed_cycles = 0;
-    report.stats.replay_stretches = 0;
-    report
-}
-
-fn assert_replay_invisible(replayed: (&Fabric, RunReport), stepped: (&Fabric, RunReport)) {
-    let (rf, rr) = replayed;
-    let (sf, sr) = stepped;
-    assert_eq!(
-        sr.stats.replayed_cycles, 0,
-        "disabled engine still replayed"
-    );
-    assert_eq!(
-        normalized(rr),
-        normalized(sr),
-        "replay on/off reports diverged"
-    );
-    assert_eq!(
-        rf.south_collected(),
-        sf.south_collected(),
-        "south collector sequence diverged"
-    );
-    assert_eq!(
-        rf.east_collected(),
-        sf.east_collected(),
-        "east collector sequence diverged"
-    );
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Random kernels, bands, sparsities, and FSM mixes from 8×8 through
-    /// 64×64: replay enabled vs force-disabled must produce identical
-    /// reports (including `batched_pe_cycles` — the engine accounts the
-    /// batch sweep it defers) and collector sequences. Sparse bands break
-    /// stretches constantly, dense bands produce long ones, and mixed grids
-    /// never go fully uniform — all three regimes must be invisible.
+    /// 64×64, untraced so replay may engage: the fast engine must match the
+    /// reference engine exactly. Sparse bands break uniformity constantly,
+    /// dense bands produce long stretches, and mixed grids never go fully
+    /// uniform — all three regimes must be invisible.
     #[test]
     fn replay_is_architecturally_invisible(
         seed in 0u64..10_000,
@@ -124,20 +53,8 @@ proptest! {
         depth in 1usize..5,
         regacc_sel in 0u8..4,
     ) {
-        let dims = [8usize, 16, 32, 64];
-        let (rows, cols) = (dims[rows_sel], dims[cols_sel]);
-        let regacc_rows = [0, rows, rows / 2, rows / 4][regacc_sel as usize];
-        let mut band = [4usize, 16, 64][band_sel];
-        if rows * cols * m * band > 2_000_000 {
-            band = 4;
-        }
-        let mut replayed =
-            spmm_fabric(rows, cols, m, band, sparsity, depth, seed, regacc_rows, true);
-        let mut stepped =
-            spmm_fabric(rows, cols, m, band, sparsity, depth, seed, regacc_rows, false);
-        let rr = replayed.run().expect("replayed run drains");
-        let sr = stepped.run().expect("stepped run drains");
-        assert_replay_invisible((&replayed, rr), (&stepped, sr));
+        RandomSpmm { seed, rows_sel, cols_sel, m, band_sel, sparsity, depth, regacc_sel }
+            .fast_matches_reference(false);
     }
 }
 
@@ -146,7 +63,7 @@ proptest! {
 /// a majority of cycles must be fast-forwarded, not merely a stray stretch.
 #[test]
 fn dense_regacc_replays_a_majority_of_cycles() {
-    let mut fabric = spmm_fabric(8, 8, 16, 256, 0.0, 4, 7, 8, true);
+    let mut fabric = spmm_fabric(8, 8, 16, 256, 0.0, 4, 7, 8, Engine::Fast);
     let report = fabric.run().expect("dense run drains");
     assert!(
         report.stats.replay_stretches > 0,
@@ -183,13 +100,13 @@ impl OrchProgram for Script {
 /// run, but the accumulator re-target breaks the captured template
 /// mid-stretch. The engine must flush at exactly that cycle, cycle-step
 /// through the break, and re-enter on the second block.
-fn retarget_fabric(n0: usize, n1: usize, replay: bool) -> Fabric {
+fn retarget_fabric(n0: usize, n1: usize, engine: Engine) -> Fabric {
     let cfg = CanonConfig {
         rows: 4,
         cols: 8,
         dmem_words: 64,
         spad_entries: 4,
-        replay,
+        engine,
         ..CanonConfig::default()
     };
     let mut fabric = Fabric::new(&cfg, false);
@@ -252,12 +169,13 @@ fn retarget_fabric(n0: usize, n1: usize, replay: bool) -> Fabric {
 }
 
 /// Mid-stretch divergence: an accumulator re-target (same MAC shape, new
-/// spad slot) must fall back to cycle-stepping without a trace — identical
-/// results and counters, with the run splitting into two stretches.
+/// spad slot) must fall back to cycle-stepping without a trace — results
+/// and counters identical to the reference engine, with the run splitting
+/// into two stretches.
 #[test]
 fn retarget_mid_stretch_falls_back_and_reenters() {
-    let mut replayed = retarget_fabric(80, 80, true);
-    let mut stepped = retarget_fabric(80, 80, false);
+    let mut replayed = retarget_fabric(80, 80, Engine::Fast);
+    let mut stepped = retarget_fabric(80, 80, Engine::Reference);
     let rr = replayed.run().expect("replayed run drains");
     let sr = stepped.run().expect("stepped run drains");
     assert!(
@@ -265,25 +183,25 @@ fn retarget_mid_stretch_falls_back_and_reenters() {
         "expected the re-target to split the run into two stretches, got {}",
         rr.stats.replay_stretches
     );
-    assert_replay_invisible((&replayed, rr), (&stepped, sr));
+    assert_fast_invisible((&replayed, rr), (&stepped, sr));
     // The flushed accumulator chains exit architecturally — both engines
-    // must agree on the values and the exit cycles.
+    // agreed on the values and the exit cycles above.
     assert!(!replayed.south_collected().is_empty());
 }
 
 /// A stretch shorter than the entry threshold (3·cols cycles) must never
-/// capture — and still match the stepped engine exactly.
+/// capture — and still match the reference engine exactly.
 #[test]
 fn short_bursts_never_enter_but_stay_invisible() {
-    let mut replayed = retarget_fabric(10, 10, true);
-    let mut stepped = retarget_fabric(10, 10, false);
+    let mut replayed = retarget_fabric(10, 10, Engine::Fast);
+    let mut stepped = retarget_fabric(10, 10, Engine::Reference);
     let rr = replayed.run().expect("replayed run drains");
     let sr = stepped.run().expect("stepped run drains");
     assert_eq!(
         rr.stats.replay_stretches, 0,
         "short bursts must not capture"
     );
-    assert_replay_invisible((&replayed, rr), (&stepped, sr));
+    assert_fast_invisible((&replayed, rr), (&stepped, sr));
 }
 
 /// `FaultAction::PanicAt` must fire at the exact injected cycle even when
@@ -294,13 +212,13 @@ fn panic_at_fires_mid_stretch_at_exact_cycle() {
     // Cycle 400 sits deep inside the first captured stretch of the dense
     // 8×8 deep-band kernel (entry needs only 3·cols = 24 clean cycles).
     let at = 400u64;
-    for replay in [true, false] {
+    for engine in [Engine::Fast, Engine::Reference] {
         let cfg = CanonConfig {
             rows: 8,
             cols: 8,
             dmem_words: 256,
             spad_entries: 16,
-            replay,
+            engine,
             fault: Some(FaultAction::PanicAt { cycle: at }),
             ..CanonConfig::default()
         };
@@ -313,7 +231,7 @@ fn panic_at_fires_mid_stretch_at_exact_cycle() {
             .unwrap_or_else(|| "non-string panic".into());
         assert!(
             msg.contains("injected fault") && msg.contains("cycle 400"),
-            "unexpected panic payload with replay={replay}: {msg}"
+            "unexpected panic payload under {engine:?}: {msg}"
         );
     }
 }
@@ -337,30 +255,30 @@ fn build_with(cfg: CanonConfig) -> Fabric {
 }
 
 /// The `max_cycles` ceiling must abort at the exact cycle with identical
-/// partial stats, replayed or stepped — a deferred stretch cannot overshoot
+/// partial stats under either engine — a deferred stretch cannot overshoot
 /// the budget.
 #[test]
 fn cycle_ceiling_aborts_mid_stretch_at_exact_cycle() {
     let mut reports = Vec::new();
-    for replay in [true, false] {
+    for engine in [Engine::Fast, Engine::Reference] {
         let cfg = CanonConfig {
             rows: 8,
             cols: 8,
             dmem_words: 256,
             spad_entries: 16,
-            replay,
+            engine,
             max_cycles: Some(300),
             ..CanonConfig::default()
         };
         let mut fabric = build_with(cfg);
         match fabric.run() {
             Err(SimError::Timeout { cycle, budget }) => {
-                assert_eq!(cycle, 300, "ceiling drifted with replay={replay}");
+                assert_eq!(cycle, 300, "ceiling drifted under {engine:?}");
                 assert!(budget.contains("cycle ceiling"));
             }
             other => panic!("expected a timeout, got {other:?}"),
         }
-        reports.push(normalized(fabric.report()));
+        reports.push(fabric.report().architectural());
     }
     assert_eq!(
         reports[0], reports[1],
@@ -368,25 +286,29 @@ fn cycle_ceiling_aborts_mid_stretch_at_exact_cycle() {
     );
 }
 
-/// An attached trace sink disengages the engine: traces need the per-cycle
-/// event order, so a traced run must never defer — and the stream must
-/// equal the replay-off traced stream byte for byte (that equality is what
-/// lets traced debugging represent replayed production runs).
+/// An attached trace sink disengages replay: traces need the per-cycle
+/// event order, so a traced fast run must never defer — and its
+/// architectural stream must equal the reference engine's event for event
+/// (that equality is what lets traced debugging represent replayed
+/// production runs).
 #[test]
 fn trace_sink_disengages_replay() {
-    let mut traced_on = spmm_fabric(8, 8, 16, 64, 0.0, 4, 7, 8, true);
-    let mut traced_off = spmm_fabric(8, 8, 16, 64, 0.0, 4, 7, 8, false);
-    let (sink_a, sink_b) = (VecSink::default(), VecSink::default());
-    traced_on.set_trace_sink(Box::new(sink_a.clone()));
-    traced_off.set_trace_sink(Box::new(sink_b.clone()));
-    let ra = traced_on.run().expect("traced run drains");
-    let rb = traced_off.run().expect("traced run drains");
-    traced_on.take_trace_sink();
-    traced_off.take_trace_sink();
+    let mut traced_fast = spmm_fabric(8, 8, 16, 64, 0.0, 4, 7, 8, Engine::Fast);
+    let mut traced_ref = spmm_fabric(8, 8, 16, 64, 0.0, 4, 7, 8, Engine::Reference);
+    let (sink_f, sink_r) = (VecSink::default(), VecSink::default());
+    traced_fast.set_trace_sink(Box::new(sink_f.clone()));
+    traced_ref.set_trace_sink(Box::new(sink_r.clone()));
+    let rf = traced_fast.run().expect("traced run drains");
+    let rr = traced_ref.run().expect("traced run drains");
+    traced_fast.take_trace_sink();
+    traced_ref.take_trace_sink();
     assert_eq!(
-        ra.stats.replayed_cycles, 0,
+        rf.stats.replayed_cycles, 0,
         "replay engaged under an attached trace sink"
     );
-    assert_eq!(normalized(ra), normalized(rb));
-    assert_eq!(sink_a.take_events(), sink_b.take_events());
+    assert_eq!(rf.architectural(), rr.architectural());
+    let (events_f, events_r) = (sink_f.take_events(), sink_r.take_events());
+    let arch_f: Vec<_> = events_f.iter().filter(|e| e.is_architectural()).collect();
+    let arch_r: Vec<_> = events_r.iter().filter(|e| e.is_architectural()).collect();
+    assert_eq!(arch_f, arch_r);
 }

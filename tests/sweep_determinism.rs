@@ -1,15 +1,21 @@
 //! Sweep-engine integration contract: (a) the JSONL result store is
 //! byte-identical whatever the worker-thread count — record content and
-//! order depend only on the grid; (b) re-running against a warm store
-//! performs zero backend executions, satisfying every cell from cache —
-//! for tensor and loop-nest workloads alike.
+//! order depend only on the grid; (b) it is byte-identical whatever the
+//! simulation engine; (c) re-running against a warm store performs zero
+//! backend executions, satisfying every cell from cache — for tensor and
+//! loop-nest workloads alike.
 
+use canon::arch::{CanonConfig, Engine};
 use canon::sweep::engine::{run_sweep, SweepOptions};
 use canon::sweep::scenario::{GridBuilder, OpTemplate, ScenarioGrid};
 use canon::sweep::store::{RecordStatus, ResultStore};
 use std::path::PathBuf;
 
 fn test_grid() -> ScenarioGrid {
+    test_workloads().build()
+}
+
+fn test_workloads() -> GridBuilder {
     // Three workload families (one banded) across all five architectures at
     // smoke shapes: 5 cells x 5 archs = 25 scenarios.
     GridBuilder::new()
@@ -37,7 +43,6 @@ fn test_grid() -> ScenarioGrid {
                 head_dim: 32,
             },
         )
-        .build()
 }
 
 fn temp_store(name: &str) -> PathBuf {
@@ -76,6 +81,39 @@ fn thread_count_does_not_change_store_bytes() {
     );
     std::fs::remove_file(&path2).ok();
     std::fs::remove_file(&path8).ok();
+}
+
+#[test]
+fn engine_does_not_change_store_bytes() {
+    let grid = test_workloads().geometries(&[(8, 8), (16, 8)]).build();
+    let mut stores = Vec::new();
+    for (engine, name) in [(Engine::Reference, "reference"), (Engine::Fast, "fast")] {
+        let path = temp_store(name);
+        std::fs::remove_file(&path).ok();
+        let mut store = ResultStore::open(&path).expect("open store");
+        let out = run_sweep(
+            &grid,
+            &mut store,
+            &SweepOptions {
+                jobs: 2,
+                base_cfg: CanonConfig {
+                    engine,
+                    ..CanonConfig::default()
+                },
+                ..Default::default()
+            },
+        )
+        .expect("sweep runs");
+        assert_eq!(out.stats.executed, grid.scenarios.len());
+        assert_eq!(out.stats.errors, 0);
+        stores.push(std::fs::read(&path).expect("store bytes"));
+        std::fs::remove_file(&path).ok();
+    }
+    assert!(!stores[0].is_empty());
+    assert_eq!(
+        stores[0], stores[1],
+        "reference- and fast-engine sweeps must produce byte-identical JSONL"
+    );
 }
 
 #[test]
