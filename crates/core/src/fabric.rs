@@ -86,8 +86,9 @@
 //! window, with generation tags checked under `debug_assertions`). The
 //! injection queue, the pipeline-stage slots, and eastward COMMIT
 //! forwarding all move 4-byte [`InstrHandle`]s; the ~44-byte record is
-//! written once per issue and resolved in place at LOAD/COMMIT. The
-//! one-byte bubble path is unchanged — bubbles are never interned.
+//! written once per issue and resolved in place at LOAD/COMMIT. Bubbles
+//! never reach it: they are elided at issue (see `Inject`), so every
+//! occupied pipeline slot holds a real, interned instruction.
 //!
 //! The fused per-PE ordering (COMMIT then LOAD of one PE before the next
 //! PE) is cycle-identical to the former phase-barrier sweeps because only
@@ -132,7 +133,7 @@ use crate::config::{CanonConfig, Engine};
 use crate::isa::{Direction, InstrHandle, InstrRing, Instruction, Plan, PlanKind, Vector, LANES};
 use crate::noc::{LinkGrid, TaggedVector};
 use crate::orchestrator::{MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram};
-use crate::pe::{PeArray, PeMut, PeRef};
+use crate::pe::{PeArray, PeMut};
 use crate::replay::{ReplayEntry, ReplayState, REPLAY_CHUNK};
 use crate::sched::{ActiveSet, RowSched};
 use crate::stats::{RunReport, StallBreakdown, StallCause, Stats};
@@ -280,10 +281,9 @@ enum Inject {
 
 /// Per-PE injection slots of the instruction network, struct-of-arrays: the
 /// one-byte kind tags are scanned/updated on every hop, the 4-byte
-/// [`InstrHandle`] is touched only for real instructions (the record itself
-/// lives in the fabric's [`InstrRing`]). Bubbles — the majority of the
-/// traffic in sparse bands (row ends, stalls) — march east one tag byte per
-/// hop.
+/// [`InstrHandle`] only where a kind tag says an instruction is pending (the
+/// record itself lives in the fabric's [`InstrRing`]). Bubbles never occupy
+/// a slot — see [`Inject`].
 #[derive(Debug)]
 struct InjectQueue {
     kind: Vec<Inject>,
@@ -704,19 +704,6 @@ impl Fabric {
         self.pes.pe_mut(r * self.cfg.cols + c)
     }
 
-    /// Shared access to a PE.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    pub fn pe(&self, r: usize, c: usize) -> PeRef<'_> {
-        assert!(
-            r < self.cfg.rows && c < self.cfg.cols,
-            "PE index out of bounds"
-        );
-        self.pes.pe(r * self.cfg.cols + c)
-    }
-
     /// Installs an orchestrator program on row `r`. Kernel FSMs convert
     /// directly (`fabric.set_program(r, SpmmFsm::new(...))`); arbitrary
     /// programs go through [`RowProgram::custom`].
@@ -1012,7 +999,7 @@ impl Fabric {
             self.bubble_horizon = self.bubble_horizon.max(now + 3 * cols as u64);
         } else {
             // Decode once per issue. Fast plans validate their (per-issue
-            // constant) addresses here and batch-account the whole row's
+            // constant) addresses here and charge the whole row's
             // executions, so the per-column LOAD/COMMIT below runs neither
             // bounds checks nor counter updates for them.
             let plan = Plan::classify(&instr);
@@ -1182,9 +1169,9 @@ impl Fabric {
         // `… − 1`, `now − 3c` — the 3-cycle stagger) were each row-uniform
         // MAC shapes, folded at issue into `issue_window`. Such a column's
         // PEs are all live with full COMMIT/EXECUTE slots and a pending
-        // injection, and MAC plans drive no links, retire no bubbles, and
-        // wake nothing — so the scalar scan only emits their trace events
-        // (preserving the ascending-id event order) and skips them; the
+        // injection, and MAC plans drive no links and wake nothing — so the
+        // scalar scan only emits their trace events (preserving the
+        // ascending-id event order) and skips them; the
         // state mutation happens in [`PeArray::batch_col`] after the scan,
         // which reorders nothing observable (a MAC's COMMIT/LOAD touch only
         // PE-local state).
@@ -1269,8 +1256,7 @@ impl Fabric {
                     }
                     // COMMIT writes a retiring instruction's 4-byte handle
                     // straight into the eastern neighbour's injection slot and
-                    // reports its link drives as flags; bubbles forward as a
-                    // tag only.
+                    // reports its link drives as flags.
                     let has_east = c + 1 < cols;
                     // Peek the retiring handle before COMMIT consumes the slot
                     // (trace-only; the branch is the hook's entire cost).
@@ -1279,7 +1265,7 @@ impl Fabric {
                     } else {
                         None
                     };
-                    let eff = self.pes.commit_into_planned(
+                    let eff = self.pes.commit_into(
                         idx,
                         &self.ring,
                         &mut self.grid,
@@ -1293,10 +1279,6 @@ impl Fabric {
                         },
                     )?;
                     if eff.retired {
-                        debug_assert!(
-                            !eff.bubble,
-                            "bubbles are elided at issue and never enter fabric pipelines"
-                        );
                         if let Some(h) = traced_commit {
                             let op = self.ring.get(h).op;
                             if let Some(tr) = self.trace.as_deref_mut() {
@@ -1331,31 +1313,19 @@ impl Fabric {
                         Inject::None => loaded = false,
                         Inject::Instr => {
                             self.inject_now.kind[idx] = Inject::None;
-                            let h = self.inject_now.handle[idx];
-                            if c == 0 {
-                                // Fresh orchestrator issue: validate the §3.1
-                                // route rules once here; the eastward-forwarded
-                                // copies are identical and skip the re-check.
-                                self.pes.load_planned(
-                                    idx,
-                                    h,
-                                    &self.ring,
-                                    &mut self.grid,
-                                    r,
-                                    c,
-                                    now,
-                                )?;
-                            } else {
-                                self.pes.load_planned_forwarded(
-                                    idx,
-                                    h,
-                                    &self.ring,
-                                    &mut self.grid,
-                                    r,
-                                    c,
-                                    now,
-                                )?;
-                            }
+                            // A fresh orchestrator issue (column 0) has its
+                            // §3.1 route rules validated here; the identical
+                            // eastward-forwarded copies skip the re-check.
+                            self.pes.load(
+                                idx,
+                                self.inject_now.handle[idx],
+                                &self.ring,
+                                &mut self.grid,
+                                r,
+                                c,
+                                now,
+                                c == 0,
+                            )?;
                         }
                     }
                     // Inline deactivation: a PE leaves the set once its
@@ -1847,29 +1817,8 @@ impl Fabric {
     /// Builds the report for the cycles simulated so far.
     pub fn report(&self) -> RunReport {
         let mut stats = Stats::new();
-        for i in 0..self.pes.len() {
-            let c = self.pes.counters(i);
-            stats.instrs_executed += c.instrs;
-            stats.compute_instrs += c.compute_instrs;
-            stats.mac_instrs += c.mac_instrs;
-            let pe = self.pes.pe(i);
-            stats.dmem_reads += pe.dmem.read_count();
-            stats.dmem_writes += pe.dmem.write_count();
-            stats.spad_reads += pe.spad.read_count();
-            stats.spad_writes += pe.spad.write_count();
-        }
+        self.pes.activity().add_to(&mut stats);
         stats.noc_hops = self.grid.total_pushes();
-        // Planned fast-path issues are batch-accounted at issue time (the
-        // per-PE counters cover only generic-path executions).
-        let batch = self.pes.batch_counters();
-        stats.instrs_executed += batch.instrs;
-        stats.compute_instrs += batch.compute_instrs;
-        stats.mac_instrs += batch.mac_instrs;
-        let (bdr, bdw, bsr, bsw) = self.pes.batch_mem_counts();
-        stats.dmem_reads += bdr;
-        stats.dmem_writes += bdw;
-        stats.spad_reads += bsr;
-        stats.spad_writes += bsw;
         for r in 0..self.rows.len() {
             stats.orch_steps += self.rows.orch_steps[r];
             stats.orch_transitions += self.rows.transitions[r];

@@ -371,8 +371,8 @@ impl Instruction {
     /// True for the canonical bubble: a `Nop` with null operands, null
     /// result, and no route — what orchestrators emit for stalls and row
     /// ends. Bubbles read nothing, write nothing, push nothing, and cannot
-    /// forward a value, so the pipeline and the injection network can move
-    /// them as a one-byte state tag instead of a full instruction record.
+    /// forward a value, so the fabric elides them at issue instead of
+    /// marching them through the pipelines.
     pub fn is_plain_nop(&self) -> bool {
         self.op == Opcode::Nop
             && self.op1 == Addr::Null

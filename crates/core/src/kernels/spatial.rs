@@ -15,7 +15,7 @@
 //! cost is added to the reported cycle count.
 
 use crate::config::CanonConfig;
-use crate::isa::{InstrHandle, InstrRing, Instruction, Vector, LANES};
+use crate::isa::{InstrHandle, InstrRing, Instruction, Plan, Vector, LANES};
 use crate::noc::{LinkGrid, TaggedVector};
 use crate::pe::PeArray;
 use crate::stats::{RunReport, Stats};
@@ -48,6 +48,12 @@ pub struct SpatialOutput {
 ///
 /// `north_feed[c]` streams one token per cycle into column `c`'s north edge.
 ///
+/// Activity is accounted as on the dynamic fabric: each cycle, a held
+/// fast-plan (MAC-shaped) instruction is bounds-checked and charged at issue
+/// ([`PeArray::validate_and_account`]) before it loads, write-back included.
+/// The report therefore also counts the up to two scratchpad write-backs per
+/// PE still in flight when the run stops.
+///
 /// # Errors
 ///
 /// Propagates address/router errors from the held instructions.
@@ -62,6 +68,16 @@ pub fn run_spatial(
     north_feed: Vec<Vec<TaggedVector>>,
     steps: usize,
 ) -> Result<SpatialOutput, SimError> {
+    simulate(cfg, program, north_feed, steps).map(|(out, _)| out)
+}
+
+/// [`run_spatial`], also returning the final PE state.
+fn simulate(
+    cfg: &CanonConfig,
+    program: &SpatialProgram,
+    north_feed: Vec<Vec<TaggedVector>>,
+    steps: usize,
+) -> Result<(SpatialOutput, PeArray), SimError> {
     assert_eq!(program.grid.len(), cfg.rows, "instruction grid rows");
     for row in &program.grid {
         assert_eq!(row.len(), cfg.cols, "instruction grid cols");
@@ -128,7 +144,11 @@ pub fn run_spatial(
         for r in 0..cfg.rows {
             for c in 0..cfg.cols {
                 let idx = r * cfg.cols + c;
-                pes.load_forwarded(idx, handles[idx], &ring, &mut grid, r, c, cycle)?;
+                let plan = ring.plan(handles[idx]);
+                if plan != Plan::Generic {
+                    pes.validate_and_account(plan, 1)?;
+                }
+                pes.load(idx, handles[idx], &ring, &mut grid, r, c, cycle, false)?;
             }
         }
         pes.advance();
@@ -142,20 +162,10 @@ pub fn run_spatial(
 
     let config_cycles = (cfg.cols * cfg.pipe_depth) as u64;
     let mut stats = Stats::new();
-    for idx in 0..pes.len() {
-        let c = pes.counters(idx);
-        stats.instrs_executed += c.instrs;
-        stats.compute_instrs += c.compute_instrs;
-        stats.mac_instrs += c.mac_instrs;
-        let pe = pes.pe(idx);
-        stats.dmem_reads += pe.dmem.read_count();
-        stats.dmem_writes += pe.dmem.write_count();
-        stats.spad_reads += pe.spad.read_count();
-        stats.spad_writes += pe.spad.write_count();
-    }
+    pes.activity().add_to(&mut stats);
     stats.noc_hops = grid.total_pushes();
     stats.offchip_read_bytes = feed_bytes;
-    Ok(SpatialOutput {
+    let out = SpatialOutput {
         south,
         east,
         report: RunReport {
@@ -164,7 +174,8 @@ pub fn run_spatial(
             stats,
             wall_ns: wall_start.elapsed().as_nanos() as u64,
         },
-    })
+    };
+    Ok((out, pes))
 }
 
 #[cfg(test)]
@@ -257,6 +268,49 @@ mod tests {
         let out = run_spatial(&cfg, &program, vec![vec![]], 5).unwrap();
         assert_eq!(out.report.stats.compute_instrs, 5);
         assert_eq!(out.south.len(), 3); // 5 cycles minus 2-cycle fill
+    }
+
+    /// A held `MacS` (imm × dmem[0] → spad[0]) on 1×1 for 5 cycles: every
+    /// cycle's issue is charged up front, so the totals count all 5 issues
+    /// even though only the first 3 commit before the run stops.
+    #[test]
+    fn spatial_mac_charged_at_issue() {
+        let cfg = cfg(1, 1);
+        let mac = Instruction::new(Opcode::MacS, Addr::Imm, Addr::DataMem(0), Addr::Spad(0))
+            .with_imm(Vector::splat(3));
+        let program = SpatialProgram {
+            grid: vec![vec![mac]],
+            preload: vec![(0, 0, 0, vec![Vector([1, 2, 3, 4])])],
+        };
+        let (out, pes) = simulate(&cfg, &program, vec![vec![]], 5).unwrap();
+        let s = &out.report.stats;
+        assert_eq!(
+            (s.instrs_executed, s.compute_instrs, s.mac_instrs),
+            (5, 5, 5)
+        );
+        assert_eq!(
+            (s.dmem_reads, s.dmem_writes, s.spad_reads, s.spad_writes),
+            (5, 0, 5, 5)
+        );
+        // Issue t accumulates onto issue t−1's in-flight value (forwarded
+        // from EXECUTE), so issue t computes 3·(t+1)·x; issues 0..=2 commit.
+        assert_eq!(pes.pe(0).spad.word(0), Vector([9, 18, 27, 36]));
+    }
+
+    #[test]
+    fn spatial_mac_out_of_range_fails_at_first_issue() {
+        let cfg = cfg(1, 1);
+        let mac = Instruction::new(Opcode::MacS, Addr::Imm, Addr::DataMem(8), Addr::Spad(0))
+            .with_imm(Vector::splat(1));
+        let program = SpatialProgram {
+            grid: vec![vec![mac]],
+            preload: vec![],
+        };
+        // One step: the error must be raised by the cycle-0 issue.
+        assert!(matches!(
+            run_spatial(&cfg, &program, vec![vec![]], 1),
+            Err(SimError::AddressOutOfRange { .. })
+        ));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! ## Struct-of-arrays layout
 //!
 //! All PEs of a fabric live in one [`PeArray`]: data memories, scratchpads,
-//! register banks, activity counters, and the three pipeline-stage slots are
-//! parallel `Vec`s indexed by PE id. The per-phase sweeps of
+//! register banks, and the three pipeline-stage slots are parallel `Vec`s
+//! indexed by PE id. The per-phase sweeps of
 //! [`crate::fabric::Fabric::step`] then walk dense, homogeneous arrays — the
 //! stage slot a COMMIT pass touches is contiguous across PEs instead of
 //! strided by the whole PE record. Because every PE advances in lockstep,
@@ -29,33 +29,36 @@
 //! function of the operand values captured at LOAD and nothing can observe
 //! it earlier — so the simulator computes it eagerly during LOAD and runs no
 //! per-PE EXECUTE sweep at all.
+//!
+//! ## Activity accounting
+//!
+//! The run report and the per-access energy model (Fig 11) need only
+//! array-wide activity totals, so the array keeps exactly one tally,
+//! [`Activity`]. It is charged in one of two places, never both: a fast-plan
+//! (MAC-shaped) instruction is charged once per issue by
+//! [`PeArray::validate_and_account`] — which every caller of
+//! [`PeArray::load`] runs before loading one — and everything else is
+//! counted by the generic LOAD/COMMIT path as it executes. A fast plan's
+//! scratchpad write-back is thus charged at issue, even when the run stops
+//! before it commits.
 
 use crate::isa::{
     Addr, Direction, InstrHandle, InstrRing, Instruction, Opcode, Plan, PlanKind, Vector,
 };
 use crate::noc::{ErrCtx, LinkGrid, TaggedVector};
+use crate::stats::Stats;
 use crate::SimError;
 
 /// Number of SIMD registers per PE.
 pub const NUM_REGS: usize = 4;
 
 /// Occupancy of one pipeline-stage slot.
-///
-/// `PlainNop` is a compressed encoding of the canonical bubble — an
-/// instruction that is `Nop` with null operands, null result, and no route
-/// (exactly what orchestrators emit for stalls and row ends). Such a slot
-/// reads no operands, computes nothing, writes nothing back, can never
-/// forward a value, and retires as [`Instruction::NOP`]; encoding it in the
-/// state tag lets the sparse-band streams, which are bubble-heavy, move one
-/// byte per stage instead of a full in-flight record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Slot {
     /// No instruction in this stage.
     #[default]
     Empty,
-    /// The canonical NOP (see above).
-    PlainNop,
-    /// A real instruction; the per-field stage arrays hold its state.
+    /// An instruction; the per-field stage arrays hold its state.
     Full,
 }
 
@@ -65,10 +68,6 @@ enum Slot {
 pub struct CommitEffects {
     /// An instruction retired (and was forwarded, when a slot was given).
     pub retired: bool,
-    /// The retired instruction was a bubble ([`Instruction::is_plain_nop`]):
-    /// nothing was written into the forward slot — the caller should
-    /// propagate the bubble as a tag, not a record.
-    pub bubble: bool,
     /// The instruction drives the south output link
     /// ([`Instruction::pushes_toward`] semantics — conservative for NOPs).
     pub drives_south: bool,
@@ -80,31 +79,52 @@ impl CommitEffects {
     /// The no-instruction outcome.
     pub const NONE: CommitEffects = CommitEffects {
         retired: false,
-        bubble: false,
+        drives_south: false,
+        drives_east: false,
+    };
+
+    /// The outcome of a retiring MAC: it writes one accumulator and drives
+    /// no link.
+    const MAC: CommitEffects = CommitEffects {
+        retired: true,
         drives_south: false,
         drives_east: false,
     };
 }
 
-/// Per-PE activity counters (memory counters live in the memories).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PeCounters {
-    /// Instructions that entered the pipeline (including NOPs).
+/// Array-wide PE activity — the one tally behind the reported activity
+/// totals (see the module docs for where it is charged). Data memory and
+/// scratchpad accesses are kept apart: their per-access energies differ
+/// (Fig 11).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Activity {
+    /// Instructions that entered a pipeline (including NOPs).
     pub instrs: u64,
     /// Compute instructions executed.
     pub compute_instrs: u64,
     /// MAC instructions executed.
     pub mac_instrs: u64,
+    /// Data-memory word reads.
+    pub dmem_reads: u64,
+    /// Data-memory word writes.
+    pub dmem_writes: u64,
+    /// Scratchpad word reads.
+    pub spad_reads: u64,
+    /// Scratchpad word writes.
+    pub spad_writes: u64,
 }
 
-/// Per-PE memory access counters (data memory and scratchpad tracked
-/// separately — their per-access energies differ, Fig 11).
-#[derive(Debug, Clone, Copy, Default)]
-struct MemCounts {
-    dmem_reads: u64,
-    dmem_writes: u64,
-    spad_reads: u64,
-    spad_writes: u64,
+impl Activity {
+    /// Adds the tally into the matching [`Stats`] counters.
+    pub fn add_to(&self, stats: &mut Stats) {
+        stats.instrs_executed += self.instrs;
+        stats.compute_instrs += self.compute_instrs;
+        stats.mac_instrs += self.mac_instrs;
+        stats.dmem_reads += self.dmem_reads;
+        stats.dmem_writes += self.dmem_writes;
+        stats.spad_reads += self.spad_reads;
+        stats.spad_writes += self.spad_writes;
+    }
 }
 
 /// Shared view of one PE memory (a strided view of the [`PeArray`] slab:
@@ -116,8 +136,6 @@ pub struct MemRef<'a> {
     stride: usize,
     offset: usize,
     len: usize,
-    reads: u64,
-    writes: u64,
 }
 
 impl MemRef<'_> {
@@ -140,16 +158,6 @@ impl MemRef<'_> {
         assert!(addr < self.len, "word {addr} of {}", self.len);
         self.slab[addr * self.stride + self.offset]
     }
-
-    /// Number of counted reads.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Number of counted writes.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
 }
 
 /// Mutable view of one PE memory (a strided view of the [`PeArray`] slab —
@@ -160,9 +168,6 @@ pub struct MemMut<'a> {
     stride: usize,
     offset: usize,
     len: usize,
-    reads: &'a mut u64,
-    writes: &'a mut u64,
-    what: &'static str,
 }
 
 impl MemMut<'_> {
@@ -174,35 +179,6 @@ impl MemMut<'_> {
     /// True when the memory has zero capacity.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Reads a word, counting the access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::AddressOutOfRange`] for addresses past the end.
-    pub fn read(&mut self, addr: usize) -> Result<Vector, SimError> {
-        if addr < self.len {
-            *self.reads += 1;
-            Ok(self.slab[addr * self.stride + self.offset])
-        } else {
-            Err(mem_oob(self.what, "read", addr, self.len))
-        }
-    }
-
-    /// Writes a word, counting the access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::AddressOutOfRange`] for addresses past the end.
-    pub fn write(&mut self, addr: usize, v: Vector) -> Result<(), SimError> {
-        if addr < self.len {
-            self.slab[addr * self.stride + self.offset] = v;
-            *self.writes += 1;
-            Ok(())
-        } else {
-            Err(mem_oob(self.what, "write", addr, self.len))
-        }
     }
 
     /// Preloads contents without counting accesses (models the asynchronous
@@ -222,16 +198,6 @@ impl MemMut<'_> {
         for (i, &w) in data.iter().enumerate() {
             self.slab[(base + i) * self.stride + self.offset] = w;
         }
-    }
-
-    /// Number of counted reads.
-    pub fn read_count(&self) -> u64 {
-        *self.reads
-    }
-
-    /// Number of counted writes.
-    pub fn write_count(&self) -> u64 {
-        *self.writes
     }
 }
 
@@ -295,18 +261,12 @@ pub struct PeRef<'a> {
     /// Dual-port scratchpad (psum / stream-reuse buffer).
     pub spad: MemRef<'a>,
     regs: &'a [Vector; NUM_REGS],
-    counters: PeCounters,
 }
 
 impl PeRef<'_> {
     /// Register file access (tests / debugging).
     pub fn reg(&self, i: usize) -> Vector {
         self.regs[i]
-    }
-
-    /// Activity counters.
-    pub fn counters(&self) -> PeCounters {
-        self.counters
     }
 }
 
@@ -326,7 +286,9 @@ pub struct PeMut<'a> {
 /// addressed through one shared rotation index: [`PeArray::advance`] renames
 /// the stages for *every* PE by bumping that index once instead of moving
 /// per-PE in-flight records — the per-cycle stage shift used to be a per-PE
-/// operation on the simulator's hottest path.
+/// operation on the simulator's hottest path. Activity is one array-wide
+/// [`Activity`] tally, not a per-PE counter set: it is charged at issue for
+/// fast plans and by the generic path otherwise (see the module docs).
 #[derive(Debug)]
 pub struct PeArray {
     /// Data-memory words of *all* PEs, one flat slab in **address-major**
@@ -343,7 +305,6 @@ pub struct PeArray {
     spad_entries: usize,
     /// Number of PEs (the slab stride).
     n: usize,
-    mem_counts: Vec<MemCounts>,
     regs: Vec<[Vector; NUM_REGS]>,
     /// Pipeline-stage slots, struct-of-arrays at field granularity:
     /// `xxx[s][i]` is field `xxx` of stage slot `s` of PE `i`. Slot roles
@@ -353,7 +314,7 @@ pub struct PeArray {
     /// 4-byte [`InstrHandle`] into the issued-instruction ring plus the
     /// (eagerly computed) lane result, COMMIT resolves the handle back
     /// through the shared [`InstrRing`] (+ routed payload when a route is
-    /// present) — and a `PlainNop` bubble moves only its one state byte.
+    /// present).
     state: [Vec<Slot>; 3],
     handles: [Vec<InstrHandle>; 3],
     results: [Vec<Vector>; 3],
@@ -368,13 +329,7 @@ pub struct PeArray {
     /// (and only touched) when the slot's instruction carries a route.
     routed: [Vec<TaggedVector>; 3],
     load_idx: usize,
-    counters: Vec<PeCounters>,
-    /// Activity of issues executed through the fabric's *planned* (counts
-    /// hoisted to issue time) path — see [`PeArray::validate_and_account`].
-    /// [`crate::fabric::Fabric::report`] folds these into the totals; the
-    /// per-PE counters cover only the generic/direct paths.
-    batch_pe: PeCounters,
-    batch_mem: MemCounts,
+    activity: Activity,
 }
 
 impl PeArray {
@@ -386,7 +341,6 @@ impl PeArray {
             spad: vec![Vector::ZERO; n * spad_entries],
             spad_entries,
             n,
-            mem_counts: vec![MemCounts::default(); n],
             regs: vec![[Vector::ZERO; NUM_REGS]; n],
             state: std::array::from_fn(|_| vec![Slot::Empty; n]),
             handles: std::array::from_fn(|_| vec![InstrHandle::default(); n]),
@@ -395,21 +349,18 @@ impl PeArray {
             flush_addr: std::array::from_fn(|_| vec![Addr::Null; n]),
             routed: std::array::from_fn(|_| vec![TaggedVector::ZERO; n]),
             load_idx: 0,
-            counters: vec![PeCounters::default(); n],
-            batch_pe: PeCounters::default(),
-            batch_mem: MemCounts::default(),
+            activity: Activity::default(),
         }
     }
 
     /// Returns the array to its post-construction state in place, reusing
     /// every allocation: memories and registers zeroed, pipeline slots
-    /// emptied, all counters cleared. After this call the array is
+    /// emptied, the activity tally cleared. After this call the array is
     /// indistinguishable from `PeArray::new(n, dmem_words, spad_entries)`
     /// (fabric reuse across warm-pool requests depends on that).
     pub fn reset(&mut self) {
         self.dmem.fill(Vector::ZERO);
         self.spad.fill(Vector::ZERO);
-        self.mem_counts.fill(MemCounts::default());
         for regs in &mut self.regs {
             *regs = [Vector::ZERO; NUM_REGS];
         }
@@ -422,19 +373,13 @@ impl PeArray {
             self.routed[s].fill(TaggedVector::ZERO);
         }
         self.load_idx = 0;
-        self.counters.fill(PeCounters::default());
-        self.batch_pe = PeCounters::default();
-        self.batch_mem = MemCounts::default();
+        self.activity = Activity::default();
     }
 
-    /// Number of PEs.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// True when the array holds no PEs.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
+    /// Activity of every PE since construction or the last
+    /// [`PeArray::reset`].
+    pub fn activity(&self) -> Activity {
+        self.activity
     }
 
     fn exec_idx(&self) -> usize {
@@ -447,50 +392,37 @@ impl PeArray {
 
     /// Shared view of PE `idx`.
     pub fn pe(&self, idx: usize) -> PeRef<'_> {
-        let mc = self.mem_counts[idx];
         PeRef {
             dmem: MemRef {
                 slab: &self.dmem,
                 stride: self.n,
                 offset: idx,
                 len: self.dmem_words,
-                reads: mc.dmem_reads,
-                writes: mc.dmem_writes,
             },
             spad: MemRef {
                 slab: &self.spad,
                 stride: self.n,
                 offset: idx,
                 len: self.spad_entries,
-                reads: mc.spad_reads,
-                writes: mc.spad_writes,
             },
             regs: &self.regs[idx],
-            counters: self.counters[idx],
         }
     }
 
     /// Mutable view of PE `idx` (memory preloads).
     pub fn pe_mut(&mut self, idx: usize) -> PeMut<'_> {
-        let mc = &mut self.mem_counts[idx];
         PeMut {
             dmem: MemMut {
                 slab: &mut self.dmem,
                 stride: self.n,
                 offset: idx,
                 len: self.dmem_words,
-                reads: &mut mc.dmem_reads,
-                writes: &mut mc.dmem_writes,
-                what: "dmem",
             },
             spad: MemMut {
                 slab: &mut self.spad,
                 stride: self.n,
                 offset: idx,
                 len: self.spad_entries,
-                reads: &mut mc.spad_reads,
-                writes: &mut mc.spad_writes,
-                what: "spad",
             },
         }
     }
@@ -498,14 +430,13 @@ impl PeArray {
     /// Reads PE `idx`'s data-memory word `a`, counting the access.
     #[inline]
     fn dmem_read(&mut self, idx: usize, a: usize) -> Result<Vector, SimError> {
-        let mc = &mut self.mem_counts[idx];
         slab_read(
             &self.dmem,
             self.dmem_words,
             self.n,
             idx,
             a,
-            &mut mc.dmem_reads,
+            &mut self.activity.dmem_reads,
             "dmem",
         )
     }
@@ -513,7 +444,6 @@ impl PeArray {
     /// Writes PE `idx`'s data-memory word `a`, counting the access.
     #[inline]
     fn dmem_write(&mut self, idx: usize, a: usize, v: Vector) -> Result<(), SimError> {
-        let mc = &mut self.mem_counts[idx];
         slab_write(
             &mut self.dmem,
             self.dmem_words,
@@ -521,7 +451,7 @@ impl PeArray {
             idx,
             a,
             v,
-            &mut mc.dmem_writes,
+            &mut self.activity.dmem_writes,
             "dmem",
         )
     }
@@ -529,14 +459,13 @@ impl PeArray {
     /// Reads PE `idx`'s scratchpad entry `a`, counting the access.
     #[inline]
     fn spad_read(&mut self, idx: usize, a: usize) -> Result<Vector, SimError> {
-        let mc = &mut self.mem_counts[idx];
         slab_read(
             &self.spad,
             self.spad_entries,
             self.n,
             idx,
             a,
-            &mut mc.spad_reads,
+            &mut self.activity.spad_reads,
             "spad",
         )
     }
@@ -544,7 +473,6 @@ impl PeArray {
     /// Writes PE `idx`'s scratchpad entry `a`, counting the access.
     #[inline]
     fn spad_write(&mut self, idx: usize, a: usize, v: Vector) -> Result<(), SimError> {
-        let mc = &mut self.mem_counts[idx];
         slab_write(
             &mut self.spad,
             self.spad_entries,
@@ -552,14 +480,9 @@ impl PeArray {
             idx,
             a,
             v,
-            &mut mc.spad_writes,
+            &mut self.activity.spad_writes,
             "spad",
         )
-    }
-
-    /// Activity counters of PE `idx`.
-    pub fn counters(&self, idx: usize) -> PeCounters {
-        self.counters[idx]
     }
 
     /// Register file access (tests / debugging).
@@ -583,10 +506,8 @@ impl PeArray {
             return None;
         }
         // Younger first: the EXECUTE-stage instruction is the most recent
-        // writer still in flight. `PlainNop` slots have a null result
-        // address and no flush semantics, so only `Full` slots can forward.
-        // The scan touches only the cached 4-byte address fields — never
-        // the instruction ring.
+        // writer still in flight. The scan touches only the cached 4-byte
+        // address fields — never the instruction ring.
         for s in [self.exec_idx(), self.commit_idx()] {
             if self.state[s][idx] != Slot::Full {
                 continue;
@@ -705,11 +626,22 @@ impl PeArray {
     /// resolves its operands, popping NoC ports as needed. The pipeline slot
     /// stores only the 4-byte handle; the record stays in `ring`.
     ///
+    /// A fast-plan (MAC-shaped) instruction must have been charged by
+    /// [`PeArray::validate_and_account`] first: its bounds and activity are
+    /// settled there, so this LOAD indexes the slabs directly and counts
+    /// nothing. Generic plans are bounds-checked and counted here.
+    ///
+    /// `validate_route` runs the §3.1 route-conflict check. It is a pure
+    /// function of the instruction, so callers skip it for an identical copy
+    /// already validated elsewhere — the fabric's eastward-forwarded issues,
+    /// and the spatial runner's held instructions (checked once up front).
+    ///
     /// # Errors
     ///
     /// Propagates address and NoC protocol errors, and reports
     /// [`SimError::RouterConflict`] for instructions violating the §3.1
     /// one-transfer-per-direction rule.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn load(
         &mut self,
@@ -720,83 +652,57 @@ impl PeArray {
         r: usize,
         c: usize,
         cycle: u64,
+        validate_route: bool,
     ) -> Result<(), SimError> {
-        self.load_inner::<true>(idx, h, ring, grid, r, c, cycle, true)
-    }
-
-    /// [`PeArray::load`] for the fabric's issue path: fast-plan bounds and
-    /// activity counts were hoisted to issue time
-    /// ([`PeArray::validate_and_account`]), so the per-column execution
-    /// performs neither. Generic plans behave exactly like [`PeArray::load`].
-    #[inline]
-    pub fn load_planned(
-        &mut self,
-        idx: usize,
-        h: InstrHandle,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-    ) -> Result<(), SimError> {
-        self.load_inner::<false>(idx, h, ring, grid, r, c, cycle, true)
-    }
-
-    /// [`PeArray::load_forwarded`] for the fabric's issue path — see
-    /// [`PeArray::load_planned`].
-    #[inline]
-    pub fn load_planned_forwarded(
-        &mut self,
-        idx: usize,
-        h: InstrHandle,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-    ) -> Result<(), SimError> {
-        self.load_inner::<false>(idx, h, ring, grid, r, c, cycle, false)
-    }
-
-    /// LOAD of a bubble (see [`Instruction::is_plain_nop`]) into PE `idx`:
-    /// counts the instruction and occupies the slot with the one-byte
-    /// `PlainNop` state — no operand resolution, no validation.
-    #[inline]
-    pub fn load_bubble(&mut self, idx: usize) {
         debug_assert!(
             self.state[self.load_idx][idx] == Slot::Empty,
             "LOAD slot occupied at shift time"
         );
-        self.counters[idx].instrs += 1;
-        self.state[self.load_idx][idx] = Slot::PlainNop;
-    }
-
-    /// [`PeArray::load`] for an eastward-forwarded instruction: the §3.1
-    /// route-conflict validation is skipped because `noc_conflict` is a pure
-    /// function of the instruction and the identical copy was already
-    /// validated when the upstream column loaded it. (Also used by the
-    /// spatial runner, which validates each held instruction once up front.)
-    #[inline]
-    pub fn load_forwarded(
-        &mut self,
-        idx: usize,
-        h: InstrHandle,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-    ) -> Result<(), SimError> {
-        self.load_inner::<true>(idx, h, ring, grid, r, c, cycle, false)
-    }
-
-    /// Counts one MAC-family instruction entering PE `idx`'s pipeline.
-    #[inline(always)]
-    fn count_mac(&mut self, idx: usize) {
-        let c = &mut self.counters[idx];
-        c.instrs += 1;
-        c.compute_instrs += 1;
-        c.mac_instrs += 1;
+        // Dispatch on the issue-time plan: the fast paths below are
+        // behaviourally identical to the generic path specialised to their
+        // shape (same operand/forwarding order, same results) and never
+        // touch the NoC, the route slot, or the full record.
+        let fw = self.state[self.exec_idx()][idx] == Slot::Full
+            || self.state[self.commit_idx()][idx] == Slot::Full;
+        let n = self.n;
+        match ring.plan(h) {
+            Plan::MacSToSpad { a, b, imm } => {
+                let mut op2 = self.dmem[a as usize * n + idx];
+                let mut res_in = self.spad[b as usize * n + idx];
+                if fw {
+                    op2 = self.forwarded(idx, Addr::DataMem(a)).unwrap_or(op2);
+                    res_in = self.forwarded(idx, Addr::Spad(b)).unwrap_or(res_in);
+                }
+                let result = res_in.mac(Vector::splat(imm.lane0()), op2);
+                self.fill_load_slot(idx, h, result, Addr::Spad(b), Addr::Null);
+                Ok(())
+            }
+            Plan::MacSToReg { a, r: reg, imm } => {
+                let mut op2 = self.dmem[a as usize * n + idx];
+                let mut res_in = self.regs[idx][reg as usize];
+                if fw {
+                    op2 = self.forwarded(idx, Addr::DataMem(a)).unwrap_or(op2);
+                    res_in = self.forwarded(idx, Addr::Reg(reg)).unwrap_or(res_in);
+                }
+                let result = res_in.mac(Vector::splat(imm.lane0()), op2);
+                self.fill_load_slot(idx, h, result, Addr::Reg(reg), Addr::Null);
+                Ok(())
+            }
+            Plan::MacVToReg { a, b, r: reg } => {
+                let mut op1 = self.spad[a as usize * n + idx];
+                let mut op2 = self.dmem[b as usize * n + idx];
+                let mut res_in = self.regs[idx][reg as usize];
+                if fw {
+                    op1 = self.forwarded(idx, Addr::Spad(a)).unwrap_or(op1);
+                    op2 = self.forwarded(idx, Addr::DataMem(b)).unwrap_or(op2);
+                    res_in = self.forwarded(idx, Addr::Reg(reg)).unwrap_or(res_in);
+                }
+                let result = res_in.mac(op1, op2);
+                self.fill_load_slot(idx, h, result, Addr::Reg(reg), Addr::Null);
+                Ok(())
+            }
+            Plan::Generic => self.load_generic(idx, h, ring, grid, r, c, cycle, validate_route, fw),
+        }
     }
 
     /// Fills PE `idx`'s LOAD slot (eager lane result included).
@@ -817,102 +723,12 @@ impl PeArray {
         self.flush_addr[s][idx] = flush;
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn load_inner<const COUNTED: bool>(
-        &mut self,
-        idx: usize,
-        h: InstrHandle,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-        validate: bool,
-    ) -> Result<(), SimError> {
-        debug_assert!(
-            self.state[self.load_idx][idx] == Slot::Empty,
-            "LOAD slot occupied at shift time"
-        );
-        // Dispatch on the issue-time plan: the fast paths below are
-        // behaviourally identical to the generic path specialised to their
-        // shape (same operand/forwarding/count order, same error cases) and
-        // never touch the NoC, the route slot, or the full record. In the
-        // uncounted (fabric-planned) flavour, bounds and counts were hoisted
-        // to issue time, so fast-plan slab accesses index directly.
-        let fw = self.state[self.exec_idx()][idx] == Slot::Full
-            || self.state[self.commit_idx()][idx] == Slot::Full;
-        match ring.plan(h) {
-            Plan::MacSToSpad { a, b, imm } => {
-                let (mut op2, mut res_in) = if COUNTED {
-                    self.count_mac(idx);
-                    (
-                        self.dmem_read(idx, a as usize)?,
-                        self.spad_read(idx, b as usize)?,
-                    )
-                } else {
-                    (
-                        self.dmem[a as usize * self.n + idx],
-                        self.spad[b as usize * self.n + idx],
-                    )
-                };
-                if fw {
-                    op2 = self.forwarded(idx, Addr::DataMem(a)).unwrap_or(op2);
-                    res_in = self.forwarded(idx, Addr::Spad(b)).unwrap_or(res_in);
-                }
-                let result = res_in.mac(Vector::splat(imm.lane0()), op2);
-                self.fill_load_slot(idx, h, result, Addr::Spad(b), Addr::Null);
-                Ok(())
-            }
-            Plan::MacSToReg { a, r: reg, imm } => {
-                let mut op2 = if COUNTED {
-                    self.count_mac(idx);
-                    self.dmem_read(idx, a as usize)?
-                } else {
-                    self.dmem[a as usize * self.n + idx]
-                };
-                let mut res_in = self.regs[idx][reg as usize];
-                if fw {
-                    op2 = self.forwarded(idx, Addr::DataMem(a)).unwrap_or(op2);
-                    res_in = self.forwarded(idx, Addr::Reg(reg)).unwrap_or(res_in);
-                }
-                let result = res_in.mac(Vector::splat(imm.lane0()), op2);
-                self.fill_load_slot(idx, h, result, Addr::Reg(reg), Addr::Null);
-                Ok(())
-            }
-            Plan::MacVToReg { a, b, r: reg } => {
-                let (mut op1, mut op2) = if COUNTED {
-                    self.count_mac(idx);
-                    (
-                        self.spad_read(idx, a as usize)?,
-                        self.dmem_read(idx, b as usize)?,
-                    )
-                } else {
-                    (
-                        self.spad[a as usize * self.n + idx],
-                        self.dmem[b as usize * self.n + idx],
-                    )
-                };
-                let mut res_in = self.regs[idx][reg as usize];
-                if fw {
-                    op1 = self.forwarded(idx, Addr::Spad(a)).unwrap_or(op1);
-                    op2 = self.forwarded(idx, Addr::DataMem(b)).unwrap_or(op2);
-                    res_in = self.forwarded(idx, Addr::Reg(reg)).unwrap_or(res_in);
-                }
-                let result = res_in.mac(op1, op2);
-                self.fill_load_slot(idx, h, result, Addr::Reg(reg), Addr::Null);
-                Ok(())
-            }
-            Plan::Generic => self.load_generic(idx, h, ring, grid, r, c, cycle, validate, fw),
-        }
-    }
-
-    /// Issue-time validation + batched accounting for a fast plan about to
-    /// execute on every column of a row (the fabric's planned issue path).
-    /// Bounds are checked once (in the generic path's operand order, so a
-    /// violation raises the identical error the column-0 LOAD would have
-    /// raised this same cycle), and the `cols` column executions' activity
-    /// is credited to the batch counters.
+    /// Issue-time validation + accounting for a fast plan about to execute
+    /// on `cols` PEs (every column of a fabric row, or one held spatial
+    /// PE). Bounds are checked once, in the generic path's operand order, so
+    /// a violation raises the identical error a bounds-checked LOAD would
+    /// have raised this same cycle. The activity of all `cols` executions —
+    /// the COMMIT write-back included — is charged to the tally.
     pub fn validate_and_account(&mut self, plan: Plan, cols: usize) -> Result<(), SimError> {
         let cols = cols as u64;
         match plan {
@@ -923,15 +739,15 @@ impl PeArray {
                 if b as usize >= self.spad_entries {
                     return Err(mem_oob("spad", "read", b as usize, self.spad_entries));
                 }
-                self.batch_mem.dmem_reads += cols;
-                self.batch_mem.spad_reads += cols;
-                self.batch_mem.spad_writes += cols; // COMMIT write-back
+                self.activity.dmem_reads += cols;
+                self.activity.spad_reads += cols;
+                self.activity.spad_writes += cols; // COMMIT write-back
             }
             Plan::MacSToReg { a, .. } => {
                 if a as usize >= self.dmem_words {
                     return Err(mem_oob("dmem", "read", a as usize, self.dmem_words));
                 }
-                self.batch_mem.dmem_reads += cols;
+                self.activity.dmem_reads += cols;
             }
             Plan::MacVToReg { a, b, .. } => {
                 if a as usize >= self.spad_entries {
@@ -940,14 +756,14 @@ impl PeArray {
                 if b as usize >= self.dmem_words {
                     return Err(mem_oob("dmem", "read", b as usize, self.dmem_words));
                 }
-                self.batch_mem.spad_reads += cols;
-                self.batch_mem.dmem_reads += cols;
+                self.activity.spad_reads += cols;
+                self.activity.dmem_reads += cols;
             }
-            Plan::Generic => debug_assert!(false, "generic plans are not batch-accounted"),
+            Plan::Generic => debug_assert!(false, "generic plans are counted as they execute"),
         }
-        self.batch_pe.instrs += cols;
-        self.batch_pe.compute_instrs += cols;
-        self.batch_pe.mac_instrs += cols;
+        self.activity.instrs += cols;
+        self.activity.compute_instrs += cols;
+        self.activity.mac_instrs += cols;
         Ok(())
     }
 
@@ -980,7 +796,7 @@ impl PeArray {
     ///   flush address is null, so `DataMem` operands never forward);
     /// * bounds and activity counts were hoisted to issue time
     ///   ([`PeArray::validate_and_account`]), exactly as on the scalar
-    ///   planned path.
+    ///   path.
     ///
     /// Eastward forwarding is bulk-copied: each row's retiring handle lands
     /// in `forwards[r·cols + col + 1]` (the caller passes the next-cycle
@@ -1115,22 +931,6 @@ impl PeArray {
         }
     }
 
-    /// Batched activity of planned fast-path issues (instruction counters).
-    pub fn batch_counters(&self) -> PeCounters {
-        self.batch_pe
-    }
-
-    /// Batched memory accesses of planned fast-path issues:
-    /// `(dmem reads, dmem writes, spad reads, spad writes)`.
-    pub fn batch_mem_counts(&self) -> (u64, u64, u64, u64) {
-        (
-            self.batch_mem.dmem_reads,
-            self.batch_mem.dmem_writes,
-            self.batch_mem.spad_reads,
-            self.batch_mem.spad_writes,
-        )
-    }
-
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn load_generic(
@@ -1146,17 +946,6 @@ impl PeArray {
         fw_possible: bool,
     ) -> Result<(), SimError> {
         let instr = ring.get(h);
-        // Fast path for the canonical NOP (null operands and result, no
-        // route): the sparse-band streams are NOP-heavy (row ends, stalls,
-        // bubbles), and a plain NOP touches no memory, no ports, cannot
-        // conflict, and cannot forward — only its state byte moves. (The
-        // fabric's injection network pre-classifies bubbles at issue and
-        // calls [`PeArray::load_bubble`] directly; this check serves direct
-        // callers that intern NOPs, e.g. the spatial runner's unused PEs.)
-        if instr.is_plain_nop() {
-            self.load_bubble(idx);
-            return Ok(());
-        }
         if validate {
             if let Some(d) = instr.noc_conflict() {
                 return Err(SimError::RouterConflict {
@@ -1166,17 +955,13 @@ impl PeArray {
                 });
             }
         }
-        self.counters[idx].instrs += 1;
-        if instr.op.is_compute() {
-            self.counters[idx].compute_instrs += 1;
-        }
-        if instr.op.is_mac() {
-            self.counters[idx].mac_instrs += 1;
-        }
+        self.activity.instrs += 1;
+        self.activity.compute_instrs += instr.op.is_compute() as u64;
+        self.activity.mac_instrs += instr.op.is_mac() as u64;
         // `fw_possible` (hoisted by the caller): a value can only be
         // forwarded from a `Full` EXECUTE/COMMIT slot, so when both are
-        // bubbles or empty (common in sparse bands) every operand read
-        // skips the per-address forwarding scan.
+        // empty (common in sparse bands) every operand read skips the
+        // per-address forwarding scan.
         let mut shared_pop = None;
         let op1 = self.read_operand(
             idx,
@@ -1281,40 +1066,11 @@ impl PeArray {
 
     /// COMMIT stage of PE `idx`: writes the result (memory / register / NoC
     /// push), performs the flush-clear of `MovFlush`/`AddFlush`, and pushes
-    /// the pass-through payload. Returns the retiring instruction so the
-    /// fabric can forward it to the eastern neighbour.
-    ///
-    /// # Errors
-    ///
-    /// Propagates address and NoC protocol errors.
-    pub fn commit(
-        &mut self,
-        idx: usize,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-    ) -> Result<Option<Instruction>, SimError> {
-        let mut fwd = InstrHandle::default();
-        let eff = self.commit_into(idx, ring, grid, r, c, cycle, Some(&mut fwd))?;
-        if !eff.retired {
-            return Ok(None);
-        }
-        Ok(Some(if eff.bubble {
-            Instruction::NOP
-        } else {
-            *ring.get(fwd)
-        }))
-    }
-
-    /// [`PeArray::commit`] with the eastward forwarding folded in: a
-    /// retiring non-bubble instruction's 4-byte [`InstrHandle`] is written
-    /// into `forward_into` (the neighbour's injection slot) — the record
-    /// itself never moves, it stays interned in `ring`; a retiring bubble
-    /// only sets `bubble` in the returned effects (it *is* the canonical
-    /// NOP, so there is nothing to write). The return is a compact effect
-    /// descriptor for the caller's wake propagation.
+    /// the pass-through payload. A retiring instruction's 4-byte
+    /// [`InstrHandle`] is written into `forward_into` (the eastern
+    /// neighbour's injection slot) when one is given — the record itself
+    /// never moves, it stays interned in `ring`. The return is a compact
+    /// effect descriptor for the caller's wake propagation.
     ///
     /// # Errors
     ///
@@ -1331,90 +1087,30 @@ impl PeArray {
         cycle: u64,
         forward_into: Option<&mut InstrHandle>,
     ) -> Result<CommitEffects, SimError> {
-        self.commit_into_inner::<true>(idx, ring, grid, r, c, cycle, forward_into)
-    }
-
-    /// [`PeArray::commit_into`] for the fabric's issue path: fast-plan
-    /// write-back counts were hoisted to issue time — see
-    /// [`PeArray::load_planned`]. Generic plans are unaffected.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn commit_into_planned(
-        &mut self,
-        idx: usize,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-        forward_into: Option<&mut InstrHandle>,
-    ) -> Result<CommitEffects, SimError> {
-        self.commit_into_inner::<false>(idx, ring, grid, r, c, cycle, forward_into)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn commit_into_inner<const COUNTED: bool>(
-        &mut self,
-        idx: usize,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-        forward_into: Option<&mut InstrHandle>,
-    ) -> Result<CommitEffects, SimError> {
         let commit_idx = self.commit_idx();
-        match self.state[commit_idx][idx] {
-            Slot::Empty => return Ok(CommitEffects::NONE),
-            Slot::PlainNop => {
-                // A bubble writes nothing and pushes nothing; it retires as
-                // the canonical NOP (its unused immediate/tag fields are
-                // architecturally unobservable), propagated as a tag.
-                self.state[commit_idx][idx] = Slot::Empty;
-                return Ok(CommitEffects {
-                    retired: true,
-                    bubble: true,
-                    drives_south: false,
-                    drives_east: false,
-                });
-            }
-            Slot::Full => {}
+        if self.state[commit_idx][idx] == Slot::Empty {
+            return Ok(CommitEffects::NONE);
         }
         self.state[commit_idx][idx] = Slot::Empty;
         let h = self.handles[commit_idx][idx];
         let result = self.results[commit_idx][idx];
-        // Plan fast paths: a MAC writes one accumulator and drives no link —
-        // no record resolve, no write-back dispatch, constant effects.
+        // Plan fast paths: a MAC writes one accumulator (bounds checked and
+        // write-back charged at issue) and drives no link — no record
+        // resolve, no write-back dispatch, constant effects.
         match ring.plan(h) {
             Plan::MacSToSpad { b, .. } => {
-                if COUNTED {
-                    self.spad_write(idx, b as usize, result)?;
-                } else {
-                    // Bounds checked and write counted at issue time.
-                    self.spad[b as usize * self.n + idx] = result;
-                }
+                self.spad[b as usize * self.n + idx] = result;
                 if let Some(slot) = forward_into {
                     *slot = h;
                 }
-                return Ok(CommitEffects {
-                    retired: true,
-                    bubble: false,
-                    drives_south: false,
-                    drives_east: false,
-                });
+                return Ok(CommitEffects::MAC);
             }
             Plan::MacSToReg { r: reg, .. } | Plan::MacVToReg { r: reg, .. } => {
                 self.regs[idx][reg as usize] = result;
                 if let Some(slot) = forward_into {
                     *slot = h;
                 }
-                return Ok(CommitEffects {
-                    retired: true,
-                    bubble: false,
-                    drives_south: false,
-                    drives_east: false,
-                });
+                return Ok(CommitEffects::MAC);
             }
             Plan::Generic => {}
         }
@@ -1483,15 +1179,14 @@ impl PeArray {
         }
         Ok(CommitEffects {
             retired: true,
-            bubble: false,
             drives_south: instr.pushes_toward(Direction::South),
             drives_east: instr.pushes_toward(Direction::East),
         })
     }
 
-    /// Handle of the real (non-bubble) instruction sitting in PE `idx`'s
-    /// COMMIT slot this cycle, if any — a read-only peek used by the trace
-    /// layer to stamp commit events before the slot is consumed.
+    /// Handle of the instruction sitting in PE `idx`'s COMMIT slot this
+    /// cycle, if any — a read-only peek used by the trace layer to stamp
+    /// commit events before the slot is consumed.
     pub fn commit_handle(&self, idx: usize) -> Option<InstrHandle> {
         let s = self.commit_idx();
         if self.state[s][idx] == Slot::Full {
@@ -1603,7 +1298,7 @@ impl PeArray {
     /// LLVM autovectorizes.
     ///
     /// `acc` is the caller's reusable whole-fabric accumulator scratch
-    /// (`rows × cols` vectors, row-major). Memory counters are untouched:
+    /// (`rows × cols` vectors, row-major). The activity tally is untouched:
     /// every captured issue was already accounted at issue time by
     /// [`PeArray::validate_and_account`].
     #[allow(clippy::too_many_arguments)]
@@ -1810,14 +1505,36 @@ mod tests {
         InstrRing::with_capacity(16)
     }
 
+    /// LOADs `h` into PE (0, `idx`) the way the fabric issues it: a fast
+    /// plan is validated and charged first.
+    fn issue(
+        pes: &mut PeArray,
+        idx: usize,
+        h: InstrHandle,
+        ring: &InstrRing,
+        grid: &mut LinkGrid,
+        cycle: u64,
+    ) -> Result<(), SimError> {
+        let plan = ring.plan(h);
+        if plan != Plan::Generic {
+            pes.validate_and_account(plan, 1)?;
+        }
+        pes.load(idx, h, ring, grid, 0, idx, cycle, true)
+    }
+
+    fn commit(pes: &mut PeArray, idx: usize, ring: &InstrRing, grid: &mut LinkGrid, cycle: u64) {
+        pes.commit_into(idx, ring, grid, 0, idx, cycle, None)
+            .unwrap();
+    }
+
     /// Runs a single instruction through a 1×1 array's PE.
     fn run_one(pes: &mut PeArray, grid: &mut LinkGrid, i: Instruction) {
         let mut ring = ring();
         let h = ring.intern(i);
-        pes.load(0, h, &ring, grid, 0, 0, 0).unwrap();
+        issue(pes, 0, h, &ring, grid, 0).unwrap();
         pes.advance();
         pes.advance();
-        pes.commit(0, &ring, grid, 0, 0, 2).unwrap();
+        commit(pes, 0, &ring, grid, 2);
     }
 
     #[test]
@@ -1828,8 +1545,8 @@ mod tests {
             .with_imm(Vector::splat(9));
         run_one(&mut pes, &mut g, i);
         assert_eq!(pes.reg(0, 1), Vector::splat(9));
-        assert_eq!(pes.counters(0).instrs, 1);
-        assert_eq!(pes.counters(0).compute_instrs, 0);
+        assert_eq!(pes.activity().instrs, 1);
+        assert_eq!(pes.activity().compute_instrs, 0);
     }
 
     #[test]
@@ -1841,8 +1558,37 @@ mod tests {
             .with_imm(Vector::splat(3));
         run_one(&mut pes, &mut g, mac);
         run_one(&mut pes, &mut g, mac);
-        assert_eq!(pes.pe_mut(0).spad.read(2).unwrap(), Vector([6, 12, 18, 24]));
-        assert_eq!(pes.counters(0).mac_instrs, 2);
+        assert_eq!(pes.pe(0).spad.word(2), Vector([6, 12, 18, 24]));
+        // A fast-plan MAC is charged once, at issue, write-back included.
+        assert_eq!(
+            pes.activity(),
+            Activity {
+                instrs: 2,
+                compute_instrs: 2,
+                mac_instrs: 2,
+                dmem_reads: 2,
+                dmem_writes: 0,
+                spad_reads: 2,
+                spad_writes: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn fast_plan_bounds_checked_at_issue() {
+        let mut pes = one_pe();
+        let mut g = grid1x1();
+        let mut ring = ring();
+        let h = ring.intern(
+            Instruction::new(Opcode::MacS, Addr::Imm, Addr::DataMem(4), Addr::Spad(0))
+                .with_imm(Vector::splat(1)),
+        );
+        assert!(matches!(
+            issue(&mut pes, 0, h, &ring, &mut g, 0),
+            Err(SimError::AddressOutOfRange { .. })
+        ));
+        assert_eq!(pes.activity(), Activity::default());
+        assert!(pes.pipeline_empty(0));
     }
 
     #[test]
@@ -1857,24 +1603,24 @@ mod tests {
         let mut ring = ring();
         let h = ring.intern(mac);
         // Pipelined: issue 3 MACs back-to-back.
-        pes.load(0, h, &ring, &mut g, 0, 0, 0).unwrap();
+        issue(&mut pes, 0, h, &ring, &mut g, 0).unwrap();
         pes.advance();
-        pes.load(0, h, &ring, &mut g, 0, 0, 1).unwrap();
+        issue(&mut pes, 0, h, &ring, &mut g, 1).unwrap();
         pes.advance();
-        pes.commit(0, &ring, &mut g, 0, 0, 2).unwrap();
-        pes.load(0, h, &ring, &mut g, 0, 0, 2).unwrap();
+        commit(&mut pes, 0, &ring, &mut g, 2);
+        issue(&mut pes, 0, h, &ring, &mut g, 2).unwrap();
         pes.advance();
-        pes.commit(0, &ring, &mut g, 0, 0, 3).unwrap();
+        commit(&mut pes, 0, &ring, &mut g, 3);
         pes.advance();
-        pes.commit(0, &ring, &mut g, 0, 0, 4).unwrap();
-        assert_eq!(pes.pe_mut(0).spad.read(0).unwrap(), Vector::splat(3));
+        commit(&mut pes, 0, &ring, &mut g, 4);
+        assert_eq!(pes.pe(0).spad.word(0), Vector::splat(3));
     }
 
     #[test]
     fn movflush_clears_source() {
         let mut pes = one_pe();
         let mut g = LinkGrid::new(1, 1, 4, false);
-        pes.pe_mut(0).spad.write(1, Vector::splat(7)).unwrap();
+        pes.pe_mut(0).spad.preload(1, &[Vector::splat(7)]);
         let i = Instruction::new(
             Opcode::MovFlush,
             Addr::Spad(1),
@@ -1883,10 +1629,13 @@ mod tests {
         )
         .with_tag(42);
         run_one(&mut pes, &mut g, i);
-        assert_eq!(pes.pe_mut(0).spad.read(1).unwrap(), Vector::ZERO);
+        assert_eq!(pes.pe(0).spad.word(1), Vector::ZERO);
         let out = g.vertical(1, 0).pop(3, "sink").unwrap();
         assert_eq!(out.tag, 42);
         assert_eq!(out.value, Vector::splat(7));
+        // Generic path: the source read and the flush-clear write counted.
+        assert_eq!(pes.activity().spad_reads, 1);
+        assert_eq!(pes.activity().spad_writes, 1);
     }
 
     #[test]
@@ -1939,7 +1688,7 @@ mod tests {
         )
         .with_route(Direction::North, Direction::South);
         run_one(&mut pes, &mut g, i);
-        assert_eq!(pes.pe_mut(0).spad.read(0).unwrap(), Vector([1, 2, 3, 4]));
+        assert_eq!(pes.pe(0).spad.word(0), Vector([1, 2, 3, 4]));
         let fwd = g.vertical(1, 0).pop(3, "t").unwrap();
         assert_eq!(fwd.tag, 3);
         assert_eq!(fwd.value, Vector([1, 2, 3, 4]));
@@ -1958,7 +1707,7 @@ mod tests {
         let mut ring = ring();
         let h = ring.intern(i);
         assert!(matches!(
-            pes.load(0, h, &ring, &mut g, 0, 0, 0),
+            pes.load(0, h, &ring, &mut g, 0, 0, 0, true),
             Err(SimError::Deadlock { .. })
         ));
     }
@@ -1976,7 +1725,7 @@ mod tests {
         let mut ring = ring();
         let h = ring.intern(i);
         assert!(matches!(
-            pes.load(0, h, &ring, &mut g, 0, 0, 0),
+            pes.load(0, h, &ring, &mut g, 0, 0, 0, true),
             Err(SimError::RouterConflict { .. })
         ));
     }
@@ -2014,9 +1763,15 @@ mod tests {
         let mut pes = one_pe();
         let mut g = grid1x1();
         run_one(&mut pes, &mut g, Instruction::NOP);
-        assert_eq!(pes.counters(0).instrs, 1);
-        assert_eq!(pes.counters(0).compute_instrs, 0);
-        assert_eq!(pes.pe(0).dmem.read_count(), 0);
+        // A NOP loaded directly takes the generic path: one instruction
+        // latched, nothing read, computed, or written.
+        assert_eq!(
+            pes.activity(),
+            Activity {
+                instrs: 1,
+                ..Activity::default()
+            }
+        );
         assert!(pes.pipeline_empty(0));
     }
 
@@ -2034,7 +1789,7 @@ mod tests {
         );
         run_one(&mut pes, &mut g, i);
         assert!(g.vertical(1, 0).is_empty());
-        assert_eq!(pes.counters(0).instrs, 1);
+        assert_eq!(pes.activity().instrs, 1);
     }
 
     #[test]
@@ -2049,16 +1804,15 @@ mod tests {
         let mut ring = ring();
         let h0 = ring.intern(i0);
         let h1 = ring.intern(i1);
-        pes.load(0, h0, &ring, &mut g, 0, 0, 0).unwrap();
-        pes.load(1, h1, &ring, &mut g, 0, 1, 0).unwrap();
+        issue(&mut pes, 0, h0, &ring, &mut g, 0).unwrap();
+        issue(&mut pes, 1, h1, &ring, &mut g, 0).unwrap();
         pes.advance();
         pes.advance();
-        pes.commit(0, &ring, &mut g, 0, 0, 2).unwrap();
-        pes.commit(1, &ring, &mut g, 0, 1, 2).unwrap();
+        commit(&mut pes, 0, &ring, &mut g, 2);
+        commit(&mut pes, 1, &ring, &mut g, 2);
         assert_eq!(pes.reg(0, 0), Vector::splat(1));
         assert_eq!(pes.reg(1, 0), Vector::splat(2));
-        assert_eq!(pes.counters(0).instrs, 1);
-        assert_eq!(pes.counters(1).instrs, 1);
+        assert_eq!(pes.activity().instrs, 2);
         assert_eq!(LANES, 4);
     }
 }

@@ -38,7 +38,7 @@
 //! wall-clock/cycle budgets bound how long a drain can take.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
@@ -61,6 +61,12 @@ pub const EXIT_DRAINED: i32 = 0;
 pub const EXIT_SIGINT: i32 = 130;
 /// Drained because SIGTERM arrived (128 + 15).
 pub const EXIT_SIGTERM: i32 = 143;
+
+/// Longest request line the daemon buffers, newline included (a `submit`
+/// is ~300 bytes). A connection whose line grows past it gets an `error`
+/// reply and is closed, so a peer that never sends `\n` cannot exhaust the
+/// daemon's memory.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -366,8 +372,19 @@ fn serve_connection(shared: &Shared, stream: UnixStream) {
     // line has been handled.
     let mut line = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut line) {
+        // Read at most one byte past the cap, so an over-long line is
+        // caught whether or not its newline has arrived.
+        let budget = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) if line.is_empty() => return, // EOF
+            Ok(_) if line.len() > MAX_REQUEST_LINE => {
+                let reply = Reply::Error {
+                    id: String::new(),
+                    message: format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                };
+                let _ = writer.write_all(format!("{}\n", reply.to_line()).as_bytes());
+                return;
+            }
             Ok(n) => {
                 let handled = match String::from_utf8_lossy(&line).trim() {
                     "" => None,

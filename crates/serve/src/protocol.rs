@@ -25,7 +25,9 @@
 //! Replies carry a `reply` discriminator: `result`, `busy`, `draining`,
 //! `cancelled`, `cancel_ok`, `status`, `shutting_down`, `error`. A
 //! `submit` blocks its connection until its one reply line; parallelism is
-//! expressed as parallel connections, not pipelining.
+//! expressed as parallel connections, not pipelining. A request line may be
+//! at most 64 KiB, newline included: the daemon answers a longer one with
+//! an `error` reply and closes the connection.
 
 use std::collections::HashMap;
 

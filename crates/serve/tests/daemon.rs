@@ -494,3 +494,48 @@ fn request_split_across_read_timeouts_is_reassembled() {
     drop(stream);
     shutdown_and_join(&socket, handle);
 }
+
+#[test]
+fn overlong_request_line_is_rejected_and_closed() {
+    use std::io::{BufRead, BufReader, ErrorKind, Write};
+    let dir = scratch("overlong");
+    let (handle, socket) = start_daemon(opts_for(&dir));
+
+    // 1 MiB without a newline. The daemon stops reading at its line cap
+    // and hangs up, so the tail of the write may fail with a broken pipe.
+    let stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..16 {
+        if (&stream).write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let mut reader = BufReader::new(&stream);
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("an error reply before the read timeout");
+    assert!(
+        matches!(Reply::parse(reply.trim()), Ok(Reply::Error { .. })),
+        "expected an error reply, got {reply:?}"
+    );
+    // Then the connection is closed. (The daemon hangs up with unread input
+    // queued, which Linux reports to the peer as a reset after the reply.)
+    let mut rest = String::new();
+    match reader.read_line(&mut rest) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("expected EOF after the error reply, got {other:?} {rest:?}"),
+    }
+    drop(reader);
+    drop(stream);
+
+    // The daemon itself is unaffected.
+    let mut c = Client::connect(&socket).unwrap();
+    assert!(matches!(c.request(&Request::Status), Ok(Reply::Status(_))));
+    drop(c);
+    shutdown_and_join(&socket, handle);
+}
