@@ -250,21 +250,20 @@ pub struct SteadyState {
     pub orch_polls_skipped: u64,
     /// Row wake events raised (link/timer/slot).
     pub wake_events: u64,
-    /// Cycles the steady-state replay engine fast-forwarded arithmetically.
+    /// Cycles run eagerly (see `Stats::replayed_cycles`).
     pub replayed_cycles: u64,
-    /// Captured steady-state stretches the replay engine committed.
+    /// Eager runs (see `Stats::replay_stretches`).
     pub replay_stretches: u64,
 }
 
 impl SteadyState {
-    /// Share of the swept PE work the column-batch fast path carried
+    /// Share of the PE work run eagerly
     /// (`batched_pe_cycles / active_pe_cycles`).
     pub fn batch_hit_rate(&self) -> f64 {
         self.batched_pe_cycles as f64 / self.active_pe_cycles.max(1) as f64
     }
 
-    /// Share of the run's cycles the replay engine fast-forwarded
-    /// (`replayed_cycles / cycles`).
+    /// Share of the run's cycles run eagerly (`replayed_cycles / cycles`).
     pub fn replay_hit_rate(&self) -> f64 {
         self.replayed_cycles as f64 / self.cycles.max(1) as f64
     }
@@ -292,14 +291,12 @@ pub struct LargeKernelBench {
     /// default engine. The JSON writes it as `replay_cps`, the key the
     /// large-tier gate has always compared.
     pub fast_cps: f64,
-    /// Share of swept PE-cycles the batch path carried in the Fast run
+    /// Share of the Fast run's PE work run eagerly
     /// (`batched_pe_cycles / active_pe_cycles`).
     pub batch_hit_rate: f64,
-    /// Share of the Fast run's cycles the replay engine fast-forwarded
-    /// (`replayed_cycles / cycles`).
+    /// Share of the Fast run's cycles run eagerly (`replayed_cycles / cycles`).
     pub replay_hit_rate: f64,
-    /// Captured steady-state stretches the replay engine committed in the
-    /// Fast run.
+    /// Eager runs of the Fast run (see `Stats::replay_stretches`).
     pub replay_stretches: u64,
 }
 

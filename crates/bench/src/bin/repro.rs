@@ -215,7 +215,7 @@ fn usage() -> ! {
                         provisioned iso-MAC at each point\n\
            --reference-engine  (sweep, serve) simulate every cell on the\n\
                         reference engine (every row stepped every cycle,\n\
-                        scalar PE sweep, no replay); the result store must\n\
+                        per-PE sweep, no eager execution); the store must\n\
                         be byte-identical to the default fast engine's (CI\n\
                         diffs the two)\n\
            --resume     (sweep) continue an interrupted sweep from the store\n\

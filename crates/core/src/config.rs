@@ -9,14 +9,13 @@ use crate::isa::LANES;
 pub enum Engine {
     /// The simplest correct engine, kept as the differential oracle: every
     /// orchestrator row is stepped every cycle (a pure wait never parks),
-    /// every live PE takes the scalar per-PE sweep, and nothing is
-    /// replayed.
+    /// and every live PE takes the per-PE sweep.
     Reference,
-    /// The production engine: event-driven row wakeups, the column-batch
-    /// sweep over uniform columns ([`crate::pe::PeArray::batch_col`]), and
-    /// steady-state replay (`crate::replay`). Batching and replay engage on
-    /// their own wherever the issue stream is uniform; an attached trace
-    /// sink keeps replay disengaged.
+    /// The production engine: event-driven row wakeups and, inside
+    /// [`crate::Fabric::run`], eager row-wide execution — each issue runs
+    /// to completion across its row when it is decided (see
+    /// `crate::fabric`, §Eager execution). Traced runs, runs started
+    /// mid-flight, and [`crate::Fabric::step`] take the per-PE sweep.
     Fast,
 }
 

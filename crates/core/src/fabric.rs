@@ -69,26 +69,87 @@
 //!
 //! ## Engines
 //!
-//! [`CanonConfig::engine`] selects one of two engines. [`Engine::Fast`]
-//! (the default) runs the event-driven orchestrator phase above, the
-//! column-batch sweep over uniform columns ([`PeArray::batch_col`]), and
-//! steady-state replay (`crate::replay`); the last two decide for
-//! themselves from the uniformity of the issue stream. [`Engine::Reference`]
+//! [`CanonConfig::engine`] selects one of two engines. [`Engine::Reference`]
 //! is the simplest correct engine — every row stepped every cycle, the
-//! scalar per-PE sweep, no replay — and the oracle every fast path is
-//! diffed against (`tests/event_wake.rs`, `tests/batch_column.rs`,
-//! `tests/replay_differential.rs`).
+//! per-PE sweep of step 3 — and the oracle the fast engine is diffed
+//! against (`tests/event_wake.rs`, `tests/batch_column.rs`,
+//! `tests/replay_differential.rs`, `tests/engine_parity.rs`).
+//! [`Engine::Fast`] (the default) runs the event-driven orchestrator phase
+//! above and, inside [`Fabric::run`], **eager row-wide execution** in place
+//! of the per-PE sweep.
+//!
+//! ### Eager execution
+//!
+//! Time-lapsed SIMD sends one instruction across a row, reaching column `c`
+//! at `t + 3c`, and the orchestrators make every congestion decision at the
+//! periphery. So what the PE array computes depends only on each row's
+//! issue order and on FIFO order, not on which PE is busy in which cycle.
+//! The eager engine uses that: every real issue runs to completion on
+//! columns `0..cols`, in column order, right after the orchestrator
+//! decides it. The instruction is decoded once; a fast-plan MAC is one
+//! contiguous loop over the row's slice of the slabs
+//! ([`PeArray::mac_row`]), anything else is interpreted per column with
+//! plain sequential semantics (see [`crate::pe`]). What keeps it
+//! architecturally invisible:
+//!
+//! * **Stamps.** Column `c` LOADs at `t + 3c` and COMMITs at `t + 3c + 2`.
+//!   Link entries carry their push cycle, and a pop needs a head entry
+//!   stamped at or before the pop. Sink entries wait in their edge sink
+//!   until their cycle's phase 5 drains them, lanes in order, so the
+//!   collectors stay in (cycle, lane) order.
+//! * **Counters.** Generic-path activity and NoC pushes are recorded per
+//!   issue cycle in a ring `3·cols + 3` cycles deep; each column's share
+//!   falls due at its effective cycle and is folded into the totals as
+//!   that cycle ends, so [`Fabric::report`] at any cycle (a `max_cycles`
+//!   abort included) equals the reference engine's. Fast plans are charged
+//!   at issue, as on the stepping path.
+//! * **Errors.** A protocol error found ahead of its cycle is held, the
+//!   earliest first (by cycle, then PE id, then COMMIT before LOAD), and
+//!   raised when that cycle's sweep would have run. An early push sees the
+//!   occupancy its cycle will see: an east link's consumer is the same
+//!   row, whose earlier pops have all run, and a south link's consumer may
+//!   owe up to two earlier pops but the credit protocol keeps the link
+//!   below capacity even counting them.
+//! * **Observables.** `north_tokens` counts the column-0 entries stamped
+//!   before the orchestrator phase (a feeder push is visible the cycle it
+//!   happens). A column-0 south push arms the consuming row's wake timer
+//!   for the cycle after its stamp, and a row that parks re-arms for any
+//!   entry still to become visible. Feeders still step in real time; an
+//!   eager pop of a token not pushed yet *reserves* it, and a reservation
+//!   still unpushed when its stamp arrives is the reference engine's
+//!   underflow. Quiescence extends the bubble horizon to every issue and
+//!   also requires every link entry popped.
+//! * **One exception.** An instruction popping its west link can consume
+//!   the east push of the row's *next* issue, which commits at column
+//!   `c − 1` in the cycle this one loads at column `c`. When an issue needs
+//!   such a push (its west links do not already hold enough entries) the
+//!   run leaves eager execution for the stepping sweep for good, from that
+//!   issue on. No built-in kernel does this.
+//!
+//! Eager execution is used only by [`Fabric::run`] under [`Engine::Fast`],
+//! and only when the run starts at cycle 0 with no trace sink (every
+//! kernel, sweep, and daemon cell). [`Fabric::step`], traced runs, and
+//! runs started mid-flight take the stepping sweep, so trace streams are
+//! those of the reference engine. After an eager run ends in an error the
+//! fabric holds effects of cycles it never reached: only
+//! [`Fabric::report`] and [`Fabric::reset`] are valid then (checked under
+//! `debug_assertions`). The engine diagnostics mean, under eager
+//! execution: `active_pe_cycles` and `batched_pe_cycles` both count
+//! instruction-columns executed, `replayed_cycles` the cycles run eagerly,
+//! and `replay_stretches` the eager runs.
 //!
 //! ## Instruction handle ring
 //!
-//! Issued instructions are interned once into a per-fabric [`InstrRing`]
-//! (a power-of-two ring of issue records sized to the issue-to-retire
-//! window, with generation tags checked under `debug_assertions`). The
-//! injection queue, the pipeline-stage slots, and eastward COMMIT
-//! forwarding all move 4-byte [`InstrHandle`]s; the ~44-byte record is
-//! written once per issue and resolved in place at LOAD/COMMIT. Bubbles
-//! never reach it: they are elided at issue (see `Inject`), so every
-//! occupied pipeline slot holds a real, interned instruction.
+//! On the stepping path, issued instructions are interned once into a
+//! per-fabric [`InstrRing`] (a power-of-two ring of issue records sized to
+//! the issue-to-retire window, with generation tags checked under
+//! `debug_assertions`). The injection queue, the pipeline-stage slots, and
+//! eastward COMMIT forwarding all move 4-byte [`InstrHandle`]s; the
+//! ~44-byte record is written once per issue and resolved in place at
+//! LOAD/COMMIT. Bubbles never reach it: they are elided at issue (see
+//! `Inject`), so every occupied pipeline slot holds a real, interned
+//! instruction. Eager execution needs no ring: an issue is finished before
+//! the next one is decided.
 //!
 //! The fused per-PE ordering (COMMIT then LOAD of one PE before the next
 //! PE) is cycle-identical to the former phase-barrier sweeps because only
@@ -107,7 +168,8 @@
 //!   descriptors and rendered only when a protocol error fires;
 //! * edge sinks drain **in place** — step 4 pops each south/east sink link
 //!   directly into the collector vectors (no per-edge temporary `Vec`), and
-//!   the links themselves are fixed-capacity ring buffers;
+//!   the links themselves are fixed-capacity ring buffers (edge sinks are
+//!   pre-sized to the `3·cols` cycles eager pushes run ahead);
 //! * row programs are enum-dispatched ([`RowProgram`]) rather than
 //!   `Box<dyn OrchProgram>`, removing the vtable call from the per-cycle
 //!   orchestrator phase;
@@ -130,11 +192,12 @@
 //! underflow aborts the run as a protocol error.
 
 use crate::config::{CanonConfig, Engine};
-use crate::isa::{Direction, InstrHandle, InstrRing, Instruction, Plan, PlanKind, Vector, LANES};
-use crate::noc::{LinkGrid, TaggedVector};
+use crate::isa::{
+    Addr, Direction, InstrHandle, InstrRing, Instruction, Opcode, Plan, Vector, LANES,
+};
+use crate::noc::{ErrCtx, Link, LinkGrid, TaggedVector};
 use crate::orchestrator::{MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram};
-use crate::pe::{PeArray, PeMut};
-use crate::replay::{ReplayEntry, ReplayState, REPLAY_CHUNK};
+use crate::pe::{Activity, PeArray, PeMut};
 use crate::sched::{ActiveSet, RowSched};
 use crate::stats::{RunReport, StallBreakdown, StallCause, Stats};
 use crate::trace::{TraceRecorder, TraceSink, WakeSource};
@@ -319,43 +382,197 @@ impl InjectQueue {
     }
 }
 
-/// One cell of the fabric's issue-uniformity window (see
-/// [`Fabric::issue_window`]): what every row issued at one cycle, folded as
-/// it happens. The cell tracks the *uniform prefix* of rows: the longest
-/// run of rows `0..prefix` that each issued a real instruction of one
-/// shared non-generic MAC shape — exactly the condition under which, `3c`
-/// cycles later, rows `0..prefix` of fabric column `c` all hold that shape
-/// and the column-vectorized batch sweep applies to them. `prefix == rows`
-/// is the fully uniform cycle the replay engine requires; a partial prefix
-/// still batches the prefix rows (PR 7's all-or-nothing detector collapsed
-/// at tall fabrics, where one skewed row spoiled the whole column).
-#[derive(Debug, Clone, Copy)]
-struct IssueCell {
-    /// Cycle this cell describes ([`NEVER`] when unwritten; the ring is
-    /// sized so live cells are never overwritten, but staleness is checked,
-    /// never assumed).
-    cycle: u64,
-    /// Plan shape of the uniform prefix (the shape row 0 issued);
-    /// meaningless while `prefix == 0`.
-    kind: PlanKind,
-    /// Length of the uniform prefix: rows `0..prefix` each issued a real
-    /// instruction of shape `kind` that cycle (rows fold in ascending
-    /// order, so a bubble, generic, or mismatched issue freezes it).
-    prefix: u32,
+/// Phase of an error's PE: the stepping sweep runs each PE's COMMIT before
+/// its LOAD, so at one PE and cycle a COMMIT error comes first.
+const COMMIT: u8 = 0;
+/// See [`COMMIT`].
+const LOAD: u8 = 1;
+
+/// A protocol error the eager engine found ahead of its cycle.
+#[derive(Debug)]
+struct HeldError {
+    /// (cycle, PE id, phase): the order in which the stepping sweep would
+    /// meet the errors.
+    key: (u64, usize, u8),
+    err: SimError,
 }
 
-impl IssueCell {
-    const EMPTY: IssueCell = IssueCell {
-        cycle: NEVER,
-        kind: PlanKind::Generic,
-        prefix: 0,
-    };
+/// Generic-path activity and NoC pushes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tally {
+    act: Activity,
+    pushes: u64,
 }
 
-/// Minimum uniform prefix worth a partial column-batch pass: below this the
-/// per-pass setup (injection bookkeeping, shape dispatch) outweighs the
-/// vectorized sweep. Full columns always batch.
-const MIN_BATCH_PREFIX: u32 = 4;
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.act.add(&other.act);
+        self.pushes += other.pushes;
+    }
+
+    fn sub(&mut self, other: &Tally) {
+        self.act.sub(&other.act);
+        self.pushes -= other.pushes;
+    }
+}
+
+/// What one column of a generic issue counts: its LOAD part, due at the
+/// LOAD cycle, and its COMMIT part (write-backs and NoC pushes), due two
+/// cycles later. Every column of an issue counts the same.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ColumnTally {
+    load: Tally,
+    commit: Tally,
+}
+
+impl ColumnTally {
+    /// The per-column counts of `instr` on the generic path.
+    fn of(instr: &Instruction) -> ColumnTally {
+        let mut t = ColumnTally::default();
+        t.load.act.note_instr(instr.op);
+        t.load.act.note_read(instr.op1);
+        t.load.act.note_read(instr.op2);
+        if matches!(instr.op, Opcode::MacV | Opcode::MacS | Opcode::Acc) {
+            t.load.act.note_read(instr.res);
+        }
+        if instr.op != Opcode::Nop {
+            t.commit.act.note_write(instr.res);
+            t.commit.pushes += matches!(instr.res, Addr::Port(_)) as u64;
+        }
+        if matches!(instr.op, Opcode::MovFlush | Opcode::AddFlush) {
+            t.commit.act.note_write(instr.op1);
+        }
+        t.commit.pushes += instr.route.is_some() as u64;
+        t
+    }
+}
+
+/// Eager-execution state (module docs, §Eager execution).
+#[derive(Debug)]
+struct Eager {
+    /// Issues run eagerly (only inside [`Fabric::run`]).
+    on: bool,
+    /// Per issue cycle `t`, indexed `t & (len − 1)`: the summed
+    /// [`ColumnTally`] of that cycle's generic issues. Column `c` of an
+    /// issue counts at `t + 3c` (and `+ 2`), so what falls due at cycle `x`
+    /// is a sum over `t = x − 3c`, kept as one running sum per residue of
+    /// the cycle mod 3. The ring covers the `3·cols + 2` cycles an issue
+    /// stays in the sums.
+    issued: Vec<ColumnTally>,
+    due_load: [Tally; 3],
+    due_commit: [Tally; 3],
+    /// NoC pushes folded in so far.
+    pushes: u64,
+    held: Option<HeldError>,
+    /// Per north-edge column: stamps of eager pops holding a reservation on
+    /// a feeder token not pushed yet (oldest first).
+    reserved: Vec<VecDeque<u64>>,
+    /// Per north-edge column: stamps of eager pops of pushed tokens, which
+    /// occupy the link until their stamp.
+    inflight: Vec<VecDeque<u64>>,
+    /// Entries queued in PE input links by eager runs.
+    queued: u64,
+    /// Entries queued in edge sinks by eager runs, not yet drained.
+    sink_queued: u64,
+    /// An eager run ended in an error (only `report`/`reset` are valid).
+    poisoned: bool,
+    /// Cycles run eagerly ([`Stats::replayed_cycles`]).
+    cycles: u64,
+    /// Eager runs ([`Stats::replay_stretches`]).
+    runs: u64,
+}
+
+impl Eager {
+    fn new(cols: usize) -> Eager {
+        Eager {
+            on: false,
+            issued: vec![ColumnTally::default(); (3 * cols + 3).next_power_of_two()],
+            due_load: [Tally::default(); 3],
+            due_commit: [Tally::default(); 3],
+            pushes: 0,
+            held: None,
+            reserved: vec![VecDeque::with_capacity(8); cols],
+            inflight: vec![VecDeque::with_capacity(8); cols],
+            queued: 0,
+            sink_queued: 0,
+            poisoned: false,
+            cycles: 0,
+            runs: 0,
+        }
+    }
+
+    /// Returns to the post-construction state, keeping allocations.
+    fn reset(&mut self) {
+        self.on = false;
+        self.issued.fill(ColumnTally::default());
+        self.due_load = [Tally::default(); 3];
+        self.due_commit = [Tally::default(); 3];
+        self.pushes = 0;
+        self.held = None;
+        for q in self.reserved.iter_mut().chain(self.inflight.iter_mut()) {
+            q.clear();
+        }
+        self.queued = 0;
+        self.sink_queued = 0;
+        self.poisoned = false;
+        self.cycles = 0;
+        self.runs = 0;
+    }
+
+    fn slot(&self, t: u64) -> usize {
+        (t & (self.issued.len() as u64 - 1)) as usize
+    }
+
+    /// Records a generic issue of cycle `t` whose columns each count `per`.
+    fn record(&mut self, t: u64, per: &ColumnTally) {
+        let s = self.slot(t);
+        self.issued[s].load.add(&per.load);
+        self.issued[s].commit.add(&per.commit);
+    }
+
+    /// The generic-path counts falling due at cycle `x` (called once per
+    /// cycle, in order): issues enter the running sums at their cycle and
+    /// leave them `3·cols` cycles later, once their last column counted.
+    fn fold(&mut self, x: u64, cols: usize) -> Tally {
+        let span = 3 * cols as u64;
+        let s = self.slot(x);
+        let m = (x % 3) as usize;
+        self.due_load[m].add(&self.issued[s].load);
+        if x >= span {
+            let old = self.slot(x - span);
+            self.due_load[m].sub(&self.issued[old].load);
+        }
+        let mut due = self.due_load[m];
+        if x >= 2 {
+            let t = x - 2;
+            let (s, m) = (self.slot(t), (t % 3) as usize);
+            self.due_commit[m].add(&self.issued[s].commit);
+            if t >= span {
+                let old = self.slot(t - span);
+                self.due_commit[m].sub(&self.issued[old].commit);
+                self.issued[old] = ColumnTally::default();
+            }
+            due.add(&self.due_commit[m]);
+        }
+        due
+    }
+
+    /// Takes the held error if it comes before `key`.
+    fn take_held_before(&mut self, key: (u64, usize, u8)) -> Option<SimError> {
+        if self.held.as_ref().is_some_and(|h| h.key < key) {
+            self.held.take().map(|h| h.err)
+        } else {
+            None
+        }
+    }
+
+    /// Keeps the earliest of the held error and `err` at `key`.
+    fn hold(&mut self, key: (u64, usize, u8), err: SimError) {
+        if self.held.as_ref().is_none_or(|h| key < h.key) {
+            self.held = Some(HeldError { key, err });
+        }
+    }
+}
 
 /// The simulated Canon fabric.
 pub struct Fabric {
@@ -401,21 +618,11 @@ pub struct Fabric {
     cycle: u64,
     /// Sum over cycles of the active-set size (scheduler diagnostic).
     active_pe_cycles: u64,
-    /// PE-cycles that went through the batch fast path (scheduler
-    /// diagnostic, reported as [`Stats::batched_pe_cycles`]).
+    /// Instruction-columns executed eagerly (scheduler diagnostic,
+    /// reported as [`Stats::batched_pe_cycles`]).
     batched_pe_cycles: u64,
-    /// Power-of-two ring of per-cycle [`IssueCell`]s indexed by
-    /// `cycle & (len − 1)`, deep enough to cover the issue-to-retire window
-    /// (`3·cols` cycles): the batch detector reads the cells of the three
-    /// issue cycles currently occupying each column's pipeline slots.
-    issue_window: Vec<IssueCell>,
-    /// Phase-3 scratch, reused every cycle:
-    /// `Some((commit_kind, load_kind, prefix))` for columns taking the batch
-    /// sweep this cycle — rows `0..prefix` batch, the rest stay scalar.
-    col_batch: Vec<Option<(PlanKind, PlanKind, u32)>>,
-    /// Steady-state stretch detection + macro-cycle replay (see
-    /// [`crate::replay`]).
-    replay: ReplayState,
+    /// Eager-execution state (see the module docs).
+    eager: Eager,
     extra_offchip_read: u64,
     extra_offchip_write: u64,
     /// Host wall time accumulated inside [`Fabric::run`] (ns).
@@ -464,14 +671,10 @@ impl Fabric {
             sched: RowSched::new(cfg.rows),
             wake_events: 0,
             // One issue per row per cycle, last read 3·cols − 1 cycles after
-            // issue ⇒ the steady stream needs rows·(3·cols − 1) live
-            // records. A replay flush additionally re-interns a whole
-            // in-flight window (≈ 3·cols − 1 records per row) in one burst,
-            // and those reconstructed records must survive up to 3·cols − 2
-            // further cycles of normal issue before the last column retires
-            // them — so the ring is sized to one burst plus one stream
-            // window, keeping wraps strictly slower than retirement.
-            ring: InstrRing::with_capacity(cfg.rows * (6 * cfg.cols + 2)),
+            // issue ⇒ the stream needs rows·(3·cols − 1) live records; one
+            // extra cycle per row keeps wraps strictly slower than
+            // retirement.
+            ring: InstrRing::with_capacity(cfg.rows * 3 * cfg.cols),
             bubble_horizon: 0,
             elided_bubbles: 0,
             active: ActiveSet::new(n),
@@ -487,9 +690,7 @@ impl Fabric {
             cycle: 0,
             active_pe_cycles: 0,
             batched_pe_cycles: 0,
-            issue_window: vec![IssueCell::EMPTY; (3 * cfg.cols).next_power_of_two()],
-            col_batch: vec![None; cfg.cols],
-            replay: ReplayState::new(cfg.rows),
+            eager: Eager::new(cfg.cols),
             extra_offchip_read: 0,
             extra_offchip_write: 0,
             wall_ns: 0,
@@ -582,9 +783,7 @@ impl Fabric {
         self.cycle = 0;
         self.active_pe_cycles = 0;
         self.batched_pe_cycles = 0;
-        self.issue_window.fill(IssueCell::EMPTY);
-        self.col_batch.fill(None);
-        self.replay.reset();
+        self.eager.reset();
         self.extra_offchip_read = 0;
         self.extra_offchip_write = 0;
         self.wall_ns = 0;
@@ -636,8 +835,16 @@ impl Fabric {
             "pristine fabric: orchestrator programs installed"
         );
         assert!(
-            !self.replay.active && self.replay.run_len == 0,
-            "pristine fabric: replay stretch in flight"
+            !self.eager.on
+                && self.eager.held.is_none()
+                && self
+                    .eager
+                    .issued
+                    .iter()
+                    .all(|t| *t == ColumnTally::default())
+                && self.eager.due_load == [Tally::default(); 3]
+                && self.eager.due_commit == [Tally::default(); 3],
+            "pristine fabric: eager execution state left over"
         );
         assert!(self.trace.is_none(), "pristine fabric: trace sink attached");
         for r in 0..self.cfg.rows {
@@ -698,9 +905,7 @@ impl Fabric {
             r < self.cfg.rows && c < self.cfg.cols,
             "PE index out of bounds"
         );
-        // Direct memory access must observe (and may invalidate) deferred
-        // accumulator state: settle any active replay stretch first.
-        self.replay_interrupt();
+        self.assert_usable();
         self.pes.pe_mut(r * self.cfg.cols + c)
     }
 
@@ -712,7 +917,7 @@ impl Fabric {
     ///
     /// Panics when `r` is out of bounds.
     pub fn set_program(&mut self, r: usize, program: impl Into<RowProgram>) {
-        self.replay_interrupt();
+        self.assert_usable();
         self.rows.programs[r] = Some(program.into());
         // A new program is a fresh decision source: wake the row and forget
         // any parked pure-wait of the previous program.
@@ -726,7 +931,7 @@ impl Fabric {
     ///
     /// Panics when `r` is out of bounds.
     pub fn set_meta_stream(&mut self, r: usize, stream: Vec<MetaToken>) {
-        self.replay_interrupt();
+        self.assert_usable();
         self.rows.meta[r] = stream;
         self.rows.meta_pos[r] = 0;
         // The meta head — an orchestrator observable — changed.
@@ -745,9 +950,9 @@ impl Fabric {
     /// [`crate::trace::VecSink`] clone) — [`Fabric::take_trace_sink`] gives
     /// the sink back after the run.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        // Traces need the per-cycle event order: settle any deferred state
-        // and let the gate in `step` keep replay disengaged while attached.
-        self.replay_interrupt();
+        // Traces need the per-cycle event order: an attached sink keeps
+        // `run` on the stepping sweep.
+        self.assert_usable();
         self.trace = Some(Box::new(TraceRecorder::new(
             sink,
             self.cfg.rows,
@@ -796,7 +1001,7 @@ impl Fabric {
     ///
     /// Panics when `c` is out of bounds.
     pub fn set_feeder(&mut self, c: usize, tokens: Vec<TaggedVector>) {
-        self.replay_interrupt();
+        self.assert_usable();
         if !self.feeders[c].is_empty() {
             self.feeders_pending -= 1;
         }
@@ -817,14 +1022,28 @@ impl Fabric {
         self.extra_offchip_write += bytes;
     }
 
-    /// Values that exited the south edge so far.
+    /// Values that exited the south edge so far, in (cycle, lane) order.
     pub fn south_collected(&self) -> &[CollectedEntry] {
+        self.assert_usable();
         &self.south_collected
     }
 
-    /// Values that exited the east edge so far.
+    /// Values that exited the east edge so far, in (cycle, lane) order.
     pub fn east_collected(&self) -> &[CollectedEntry] {
+        self.assert_usable();
         &self.east_collected
+    }
+
+    /// Under `debug_assertions`, checks the fabric is not left over from an
+    /// eager run that failed: such a fabric holds effects of cycles it
+    /// never reached, and accepts only [`Fabric::report`] and
+    /// [`Fabric::reset`].
+    #[inline]
+    fn assert_usable(&self) {
+        debug_assert!(
+            !self.eager.poisoned,
+            "fabric used after a failed eager run: only report() and reset() are valid"
+        );
     }
 
     /// Current cycle.
@@ -904,7 +1123,13 @@ impl Fabric {
             south_credits: self.rows.south_credits[r],
             msg_slot_free: r + 1 >= nrows
                 || self.rows.inbox[r + 1].len() < self.cfg.orch_msg_capacity,
-            north_tokens: self.grid.vertical_ref(r, 0).len(),
+            // A PE push (stamped at its COMMIT) becomes visible the cycle
+            // after; a feeder push (row 0) the cycle it happens.
+            north_tokens: self.grid.vertical_ref(r, 0).len_before(if r == 0 {
+                now + 1
+            } else {
+                now
+            }),
         };
         let action = self.rows.programs[r]
             .as_mut()
@@ -1000,36 +1225,26 @@ impl Fabric {
         } else {
             // Decode once per issue. Fast plans validate their (per-issue
             // constant) addresses here and charge the whole row's
-            // executions, so the per-column LOAD/COMMIT below runs neither
-            // bounds checks nor counter updates for them.
+            // executions, so neither the per-column LOAD/COMMIT nor the
+            // eager row loop runs bounds checks or counter updates for them.
             let plan = Plan::classify(&instr);
             if plan != Plan::Generic {
                 self.pes.validate_and_account(plan, cols)?;
             }
-            // Fold this issue into the cycle's uniform-prefix cell. Rows
-            // dispatch in ascending order, so the prefix grows only while
-            // every row so far issued the same non-generic shape; a bubble
-            // or parked row simply never folds, freezing the prefix below
-            // it in both engines identically.
-            let slot = (now & (self.issue_window.len() as u64 - 1)) as usize;
-            let cell = &mut self.issue_window[slot];
-            let k = plan.kind();
-            if cell.cycle != now {
-                *cell = IssueCell {
-                    cycle: now,
-                    kind: k,
-                    prefix: (r == 0 && k != PlanKind::Generic) as u32,
-                };
-            } else if cell.prefix == r as u32 && k == cell.kind && k != PlanKind::Generic {
-                cell.prefix += 1;
-            }
-            self.inject_now.put(r * cols, instr, plan, &mut self.ring);
-            self.active.insert(r * cols);
-            if self.trace.is_some() {
-                issued_handle = Some(self.inject_now.handle[r * cols]);
+            if self.eager.on && (plan != Plan::Generic || !self.needs_next_issue(r, &instr)) {
+                self.issue_eagerly(r, &instr, plan, now);
+            } else {
+                if self.eager.on {
+                    self.leave_eager();
+                }
+                self.inject_now.put(r * cols, instr, plan, &mut self.ring);
+                self.active.insert(r * cols);
             }
         }
         if let Some(tr) = self.trace.as_deref_mut() {
+            if !instr.is_plain_nop() {
+                issued_handle = Some(self.inject_now.handle[r * cols]);
+            }
             tr.on_orch_step(now, r, &action, issued_handle);
         }
         // Park decision: a pure wait (and only a pure wait) leaves the wake
@@ -1048,9 +1263,15 @@ impl Fabric {
                 tr.on_park(now, r);
             }
             self.sched.sleep(r);
-            // Arm timers for events already in flight towards this row.
+            // Arm timers for events already in flight towards this row,
+            // eager south pushes still to become visible included.
             if let Some(&deliver) = self.rows.credit_returns[r].front() {
                 self.sched.arm(r, deliver);
+            }
+            if r > 0 {
+                if let Some(stamp) = self.grid.vertical_ref(r, 0).first_stamp_from(now) {
+                    self.sched.arm(r, stamp + 1);
+                }
             }
             if let Some(&(deliver, _)) = self.rows.inbox[r].front() {
                 if deliver > now {
@@ -1061,42 +1282,26 @@ impl Fabric {
         Ok(())
     }
 
-    /// Advances the fabric by one cycle.
+    /// Advances the fabric by one cycle on the stepping sweep.
     ///
     /// # Errors
     ///
     /// Returns protocol errors (router conflicts, FIFO over/underflow,
     /// address violations) detected during the cycle.
     pub fn step(&mut self) -> Result<(), SimError> {
+        self.assert_usable();
+        self.cycle_once()
+    }
+
+    /// One cycle: phases 1–2, the stepping sweep (phases 3–4) unless
+    /// running eagerly, phases 5–6, then the end-of-cycle tally fold.
+    fn cycle_once(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
-        let cols = self.cfg.cols;
         let nrows = self.cfg.rows;
 
-        // 1. North-edge feeders: at most one token per column per cycle. A
-        // token landing on column c's edge FIFO wakes its consumer PE (0, c)
-        // — and, on column 0, the top orchestrator row, whose `north_tokens`
-        // observable just changed.
+        // 1. North-edge feeders: at most one token per column per cycle.
         if self.feeders_pending > 0 {
-            for c in 0..cols {
-                if let Some(&tok) = self.feeders[c].front() {
-                    let link = self.grid.vertical(0, c);
-                    if link.len() < self.cfg.link_fifo_depth {
-                        link.push(tok, now, "north feeder")?;
-                        self.feeders[c].pop_front();
-                        if self.feeders[c].is_empty() {
-                            self.feeders_pending -= 1;
-                        }
-                        self.extra_offchip_read += self.feeder_bytes_per_token;
-                        self.active.insert(c);
-                        if c == 0 && self.sched.wake(0) {
-                            self.wake_events += 1;
-                            if let Some(tr) = self.trace.as_deref_mut() {
-                                tr.on_wake(now, 0, WakeSource::Feeder);
-                            }
-                        }
-                    }
-                }
-            }
+            self.feed(now);
         }
 
         // 2. Orchestrator phase, event-driven: fire due delivery timers,
@@ -1106,7 +1311,8 @@ impl Fabric {
         // them only in their own step, so a sleeping row's queue can wait.
         // A finished orchestrator is still stepped while deliverable
         // messages are pending: its FSM keeps the bypass transitions of the
-        // DONE state so upstream rows can drain through it.
+        // DONE state so upstream rows can drain through it. Under eager
+        // execution each real issue also runs to completion here.
         if let Some(tr) = self.trace.as_deref_mut() {
             self.wake_events += self
                 .sched
@@ -1130,22 +1336,107 @@ impl Fabric {
             }
         }
 
-        // 2b. Steady-state replay gate: when the fast engine runs untraced
-        // and this cycle is *clean* (every row issued one uniform MAC shape
-        // — pure PE-local arithmetic, no NoC drives, no sink pushes, no
-        // wakes), the whole PE sweep is deferred: the freshly issued
-        // operands are harvested into the capture timeline and phases 3–6
-        // are skipped (the pipeline does not advance; it is reconstructed
-        // at flush).
-        // Orchestrators, feeders, credits, and messages stepped honestly
-        // above, so the first non-clean cycle falls through here, settles
-        // the stretch arithmetically, and resumes cycle-stepping — making
-        // replay architecturally invisible (see `crate::replay`).
-        if self.cfg.engine == Engine::Fast && self.trace.is_none() && self.replay_tick(now) {
-            self.cycle += 1;
-            return Ok(());
+        // Errors found ahead of time are raised when their cycle's sweep
+        // would have run, in the sweep's order (a run that left eager
+        // execution can meet both kinds in one cycle).
+        let (south, east) = if self.eager.on {
+            self.eager.cycles += 1;
+            (false, false)
+        } else {
+            match self.sweep(now) {
+                Ok(edges) => edges,
+                Err((pe, phase, err)) => {
+                    return Err(self.eager.take_held_before((now, pe, phase)).unwrap_or(err))
+                }
+            }
+        };
+        if let Some(err) = self.eager.take_held_before((now + 1, 0, 0)) {
+            return Err(err);
+        }
+        let queued = self.eager.sink_queued > 0;
+        if south || east || queued {
+            self.drain_sinks(now, south || queued, east || queued);
         }
 
+        // 6. Trace epilogue: diff the NoC push counters and off-chip bytes
+        // against the last scan (zero work without a sink).
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.end_of_cycle(
+                now,
+                &self.grid,
+                self.extra_offchip_read,
+                self.extra_offchip_write,
+            );
+        }
+
+        // Fold the eager counts due this cycle into the totals.
+        let due = self.eager.fold(now, self.cfg.cols);
+        self.pes.charge(&due.act);
+        self.eager.pushes += due.pushes;
+        self.cycle += 1;
+        Ok(())
+    }
+
+    /// Phase 1: each column's feeder pushes its next token when the edge
+    /// FIFO has room. Occupancy counts tokens already popped by eager
+    /// issues until their pop stamp; a token an eager pop reserved passes
+    /// straight through to that pop. A token landing on column c wakes its
+    /// consumer PE (0, c) — and, on column 0, the top orchestrator row,
+    /// whose `north_tokens` observable just changed.
+    fn feed(&mut self, now: u64) {
+        let depth = self.cfg.link_fifo_depth;
+        for c in 0..self.cfg.cols {
+            let Some(&tok) = self.feeders[c].front() else {
+                continue;
+            };
+            let inflight = &mut self.eager.inflight[c];
+            while inflight.front().is_some_and(|&p| p < now) {
+                inflight.pop_front();
+            }
+            let link = self.grid.vertical(0, c);
+            if link.len() + inflight.len() < depth {
+                link.push(tok, now, "north feeder")
+                    .expect("the feeder checks occupancy first");
+                if let Some(p) = self.eager.reserved[c].pop_front() {
+                    debug_assert!(link.len() == 1, "reservations imply an empty edge FIFO");
+                    link.pop(now, "north feeder").expect("just pushed");
+                    inflight.push_back(p);
+                } else if self.eager.on {
+                    self.eager.queued += 1;
+                } else {
+                    self.active.insert(c);
+                }
+                self.feeders[c].pop_front();
+                if self.feeders[c].is_empty() {
+                    self.feeders_pending -= 1;
+                }
+                self.extra_offchip_read += self.feeder_bytes_per_token;
+                if c == 0 && self.sched.wake(0) {
+                    self.wake_events += 1;
+                    if let Some(tr) = self.trace.as_deref_mut() {
+                        tr.on_wake(now, 0, WakeSource::Feeder);
+                    }
+                }
+            }
+            // A reservation still unpushed at its stamp is an underflow.
+            if let Some(&p) = self.eager.reserved[c].front() {
+                if p <= now {
+                    let ctx = ErrCtx::Pop {
+                        dir: Direction::North,
+                        pe: (0, c),
+                    };
+                    self.eager.hold((p, c, LOAD), Link::pop_underflow(p, ctx));
+                }
+            }
+        }
+    }
+
+    /// Phases 3–4 of the stepping engine; returns which edges (south,
+    /// east) had a sink driven, or the first error with its PE id and
+    /// phase.
+    fn sweep(&mut self, now: u64) -> Result<(bool, bool), (usize, u8, SimError)> {
+        let cols = self.cfg.cols;
+        let nrows = self.cfg.rows;
         // 3. Active sweep: COMMIT (NoC pushes, eastward forwarding), EXECUTE
         // and LOAD for every live PE, in PE-id order. Processing each PE's
         // three phases back to back is cycle-identical to phase barriers
@@ -1162,110 +1453,35 @@ impl Fabric {
         // in a second sweep. The row/column of each id is tracked
         // incrementally — ids are visited in ascending order, so no
         // divisions run in the loop.
-        //
-        // Uniform columns take the column-vectorized batch sweep instead:
-        // the detector below checks, per fabric column, that the three issue
-        // cycles currently occupying its pipeline slots (`now − 3c − 2`,
-        // `… − 1`, `now − 3c` — the 3-cycle stagger) were each row-uniform
-        // MAC shapes, folded at issue into `issue_window`. Such a column's
-        // PEs are all live with full COMMIT/EXECUTE slots and a pending
-        // injection, and MAC plans drive no links and wake nothing — so the
-        // scalar scan only emits their trace events (preserving the
-        // ascending-id event order) and skips them; the
-        // state mutation happens in [`PeArray::batch_col`] after the scan,
-        // which reorders nothing observable (a MAC's COMMIT/LOAD touch only
-        // PE-local state).
         self.active_pe_cycles += self.active.count() as u64;
         let mut south_sink_dirty = false;
         let mut east_sink_dirty = false;
-        let mut batched_cols = 0usize;
-        let mut full_cols = 0usize;
-        let win_mask = self.issue_window.len() as u64 - 1;
-        let win = &self.issue_window;
-        let uniform = |t: u64| {
-            let cell = &win[(t & win_mask) as usize];
-            (cell.cycle == t && cell.prefix > 0).then_some((cell.kind, cell.prefix))
-        };
-        // The detector is part of the fast engine: under the reference
-        // engine `col_batch` stays all-`None` (as built) and every PE takes
-        // the scalar path.
-        if self.cfg.engine == Engine::Fast {
-            for c in 0..cols {
-                self.col_batch[c] = None;
-                if now < 3 * c as u64 + 2 {
-                    continue;
+        let mut r = 0usize;
+        let mut row_base = 0usize;
+        for w in 0..self.active.word_count() {
+            let mut bits = self.active.word(w);
+            while bits != 0 {
+                let idx = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                while idx >= row_base + cols {
+                    r += 1;
+                    row_base += cols;
                 }
-                let t_load = now - 3 * c as u64;
-                let (Some((commit_kind, p0)), Some((_, p1)), Some((load_kind, p2))) =
-                    (uniform(t_load - 2), uniform(t_load - 1), uniform(t_load))
-                else {
-                    continue;
+                let c = idx - row_base;
+                // COMMIT writes a retiring instruction's 4-byte handle
+                // straight into the eastern neighbour's injection slot and
+                // reports its link drives as flags.
+                let has_east = c + 1 < cols;
+                // Peek the retiring handle before COMMIT consumes the slot
+                // (trace-only; the branch is the hook's entire cost).
+                let traced_commit = if self.trace.is_some() {
+                    self.pes.commit_handle(idx)
+                } else {
+                    None
                 };
-                // Batch the common uniform prefix of the three issue
-                // cycles occupying this column's pipeline slots; rows at and
-                // beyond the prefix stay on the scalar path. Short prefixes
-                // are not worth the pass setup.
-                let p = p0.min(p1).min(p2);
-                if (p as usize) < nrows && p < MIN_BATCH_PREFIX {
-                    continue;
-                }
-                self.col_batch[c] = Some((commit_kind, load_kind, p));
-                batched_cols += 1;
-                if p as usize == nrows {
-                    full_cols += 1;
-                }
-            }
-        }
-        // When every column batches every row (a fully MAC-saturated
-        // fabric) and no trace needs the per-PE event order, the scalar
-        // scan has nothing left to visit at all.
-        if full_cols < cols || self.trace.is_some() {
-            let mut r = 0usize;
-            let mut row_base = 0usize;
-            for w in 0..self.active.word_count() {
-                let mut bits = self.active.word(w);
-                while bits != 0 {
-                    let idx = (w << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    while idx >= row_base + cols {
-                        r += 1;
-                        row_base += cols;
-                    }
-                    let c = idx - row_base;
-                    if batched_cols > 0 {
-                        if let Some((_, _, p)) = self.col_batch[c] {
-                            if (r as u32) < p {
-                                // Batched prefix PE: emit the commit event the
-                                // scalar path would have (a MAC commit wakes
-                                // nothing and drives no sink), leave the bit
-                                // set (the PE is about to load), and let the
-                                // batch pass do the work. Rows at and beyond
-                                // the prefix fall through to the scalar path.
-                                if self.trace.is_some() {
-                                    let h = self.pes.commit_handle(idx).expect(
-                                        "uniform prefix: every COMMIT slot holds an instruction",
-                                    );
-                                    let op = self.ring.get(h).op;
-                                    if let Some(tr) = self.trace.as_deref_mut() {
-                                        tr.on_commit(now, r, c, h, op);
-                                    }
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                    // COMMIT writes a retiring instruction's 4-byte handle
-                    // straight into the eastern neighbour's injection slot and
-                    // reports its link drives as flags.
-                    let has_east = c + 1 < cols;
-                    // Peek the retiring handle before COMMIT consumes the slot
-                    // (trace-only; the branch is the hook's entire cost).
-                    let traced_commit = if self.trace.is_some() {
-                        self.pes.commit_handle(idx)
-                    } else {
-                        None
-                    };
-                    let eff = self.pes.commit_into(
+                let eff = self
+                    .pes
+                    .commit_into(
                         idx,
                         &self.ring,
                         &mut self.grid,
@@ -1277,46 +1493,48 @@ impl Fabric {
                         } else {
                             None
                         },
-                    )?;
-                    if eff.retired {
-                        if let Some(h) = traced_commit {
-                            let op = self.ring.get(h).op;
-                            if let Some(tr) = self.trace.as_deref_mut() {
-                                tr.on_commit(now, r, c, h, op);
-                            }
-                        }
-                        if has_east {
-                            self.inject_next.kind[idx + 1] = Inject::Instr;
-                            self.active.insert(idx + 1);
-                        }
-                        if eff.drives_south {
-                            if r + 1 < nrows {
-                                self.active.insert(idx + cols);
-                                // Link event: a column-0 south push changes the
-                                // consuming row's `north_tokens` observable.
-                                if c == 0 && self.sched.wake(r + 1) {
-                                    self.wake_events += 1;
-                                    if let Some(tr) = self.trace.as_deref_mut() {
-                                        tr.on_wake(now, r + 1, WakeSource::Link);
-                                    }
-                                }
-                            } else {
-                                south_sink_dirty = true;
-                            }
-                        }
-                        if eff.drives_east && !has_east {
-                            east_sink_dirty = true;
+                    )
+                    .map_err(|e| (idx, COMMIT, e))?;
+                if eff.retired {
+                    if let Some(h) = traced_commit {
+                        let op = self.ring.get(h).op;
+                        if let Some(tr) = self.trace.as_deref_mut() {
+                            tr.on_commit(now, r, c, h, op);
                         }
                     }
-                    let mut loaded = true;
-                    match self.inject_now.kind[idx] {
-                        Inject::None => loaded = false,
-                        Inject::Instr => {
-                            self.inject_now.kind[idx] = Inject::None;
-                            // A fresh orchestrator issue (column 0) has its
-                            // §3.1 route rules validated here; the identical
-                            // eastward-forwarded copies skip the re-check.
-                            self.pes.load(
+                    if has_east {
+                        self.inject_next.kind[idx + 1] = Inject::Instr;
+                        self.active.insert(idx + 1);
+                    }
+                    if eff.drives_south {
+                        if r + 1 < nrows {
+                            self.active.insert(idx + cols);
+                            // Link event: a column-0 south push changes the
+                            // consuming row's `north_tokens` observable.
+                            if c == 0 && self.sched.wake(r + 1) {
+                                self.wake_events += 1;
+                                if let Some(tr) = self.trace.as_deref_mut() {
+                                    tr.on_wake(now, r + 1, WakeSource::Link);
+                                }
+                            }
+                        } else {
+                            south_sink_dirty = true;
+                        }
+                    }
+                    if eff.drives_east && !has_east {
+                        east_sink_dirty = true;
+                    }
+                }
+                let mut loaded = true;
+                match self.inject_now.kind[idx] {
+                    Inject::None => loaded = false,
+                    Inject::Instr => {
+                        self.inject_now.kind[idx] = Inject::None;
+                        // A fresh orchestrator issue (column 0) has its
+                        // §3.1 route rules validated here; the identical
+                        // eastward-forwarded copies skip the re-check.
+                        self.pes
+                            .load(
                                 idx,
                                 self.inject_now.handle[idx],
                                 &self.ring,
@@ -1325,69 +1543,24 @@ impl Fabric {
                                 c,
                                 now,
                                 c == 0,
-                            )?;
-                        }
-                    }
-                    // Inline deactivation: a PE leaves the set once its
-                    // pipeline, pending injection, and input links are all
-                    // empty. The condition is exact (everything that could
-                    // change it this cycle has already run), which is what lets
-                    // `quiescent()` trust `active.is_empty()`. A PE that just
-                    // loaded is trivially still live — the common case costs one
-                    // branch.
-                    if !loaded
-                        && self.pes.pipeline_empty(idx)
-                        && self.inject_next.kind[idx] == Inject::None
-                        && self.grid.pe_inputs_empty(r, c)
-                    {
-                        self.active.remove(idx);
+                            )
+                            .map_err(|e| (idx, LOAD, e))?;
                     }
                 }
-            }
-        }
-
-        // Column-vectorized passes for the uniform columns. Running them
-        // after the scalar scan keeps the scan's commit-slot peeks valid;
-        // nothing a batched MAC column does this cycle is observable to the
-        // scalar PEs (no link pushes, no shared state), so the order is
-        // architecturally irrelevant.
-        if batched_cols > 0 {
-            for c in 0..cols {
-                let Some((commit_kind, load_kind, p)) = self.col_batch[c] else {
-                    continue;
-                };
-                let p = p as usize;
-                let has_east = c + 1 < cols;
-                let mut idx = c;
-                for _ in 0..p {
-                    // Per prefix PE, exactly the scalar bookkeeping: the
-                    // injection is consumed and the retiring handle re-arms
-                    // the eastern neighbour for next cycle — re-activating
-                    // it, since its own deactivation check may already have
-                    // run this scan.
-                    self.inject_now.kind[idx] = Inject::None;
-                    if has_east {
-                        self.inject_next.kind[idx + 1] = Inject::Instr;
-                        self.active.insert(idx + 1);
-                    }
-                    idx += cols;
+                // Inline deactivation: a PE leaves the set once its
+                // pipeline, pending injection, and input links are all
+                // empty. The condition is exact (everything that could
+                // change it this cycle has already run), which is what lets
+                // `quiescent()` trust `active.is_empty()`. A PE that just
+                // loaded is trivially still live — the common case costs one
+                // branch.
+                if !loaded
+                    && self.pes.pipeline_empty(idx)
+                    && self.inject_next.kind[idx] == Inject::None
+                    && self.grid.pe_inputs_empty(r, c)
+                {
+                    self.active.remove(idx);
                 }
-                let forwards = if has_east {
-                    Some(self.inject_next.handle.as_mut_slice())
-                } else {
-                    None
-                };
-                self.pes.batch_col(
-                    c,
-                    cols,
-                    p,
-                    &self.ring,
-                    &self.inject_now.handle,
-                    forwards,
-                    commit_kind,
-                    load_kind,
-                );
-                self.batched_pe_cycles += p as u64;
             }
         }
 
@@ -1402,14 +1575,23 @@ impl Fabric {
             "injection leaked past the active sweep"
         );
 
-        // 5. Drain edge sinks straight into the collectors, only on cycles
-        // in which a bottom-row/east-column commit drove a sink link: the
-        // sink links are popped in place, with no per-edge temporary
-        // collection, and entries always exit in the cycle they were pushed.
-        if south_sink_dirty {
+        Ok((south_sink_dirty, east_sink_dirty))
+    }
+
+    /// Phase 5: drains the edge sinks straight into the collectors — the
+    /// sink links are popped in place, with no per-edge temporary
+    /// collection — taking every entry stamped at or before `now`, lanes in
+    /// ascending order, so the collectors stay in (cycle, lane) order. The
+    /// stepping sweep drains an edge on cycles in which a bottom-row or
+    /// east-column commit drove it, and its entries exit the cycle they
+    /// were pushed; eager pushes queue ahead and drain on their cycle.
+    fn drain_sinks(&mut self, now: u64, south: bool, east: bool) {
+        let (rows, cols) = (self.cfg.rows, self.cfg.cols);
+        let mut left = 0;
+        if south {
             for c in 0..cols {
-                let link = self.grid.vertical(nrows, c);
-                while let Some(e) = link.try_pop() {
+                let link = self.grid.vertical(rows, c);
+                while let Some(e) = link.pop_due(now) {
                     if let Some(tr) = self.trace.as_deref_mut() {
                         tr.on_collect(now, Direction::South, c, e.tag);
                     }
@@ -1420,12 +1602,13 @@ impl Fabric {
                         cycle: now,
                     });
                 }
+                left += link.len() as u64;
             }
         }
-        if east_sink_dirty {
-            for r in 0..nrows {
+        if east {
+            for r in 0..rows {
                 let link = self.grid.horizontal(r, cols);
-                while let Some(e) = link.try_pop() {
+                while let Some(e) = link.pop_due(now) {
                     if let Some(tr) = self.trace.as_deref_mut() {
                         tr.on_collect(now, Direction::East, r, e.tag);
                     }
@@ -1436,267 +1619,282 @@ impl Fabric {
                         cycle: now,
                     });
                 }
+                left += link.len() as u64;
             }
         }
-
-        // 6. Trace epilogue: diff the NoC push counters and off-chip bytes
-        // against the last scan (zero work without a sink).
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.end_of_cycle(
-                now,
-                &self.grid,
-                self.extra_offchip_read,
-                self.extra_offchip_write,
-            );
+        if self.eager.sink_queued > 0 {
+            self.eager.sink_queued = left;
         }
+    }
 
-        self.cycle += 1;
+    /// True when `instr`'s west pops cannot be settled at issue: at some
+    /// column `c ≥ 1` the west link holds fewer entries than the
+    /// instruction pops, even counting its own east push from column
+    /// `c − 1`, so the pop would take the push of the row's *next* issue
+    /// (committed at column `c − 1` in the cycle this one loads at `c`) —
+    /// or underflow, if there is none.
+    fn needs_next_issue(&self, r: usize, instr: &Instruction) -> bool {
+        let west = Addr::Port(Direction::West);
+        let route_from_west = instr.route.is_some_and(|rt| rt.from == Direction::West);
+        let pops = (instr.op1 == west) as usize
+            + (instr.op2 == west) as usize
+            + (route_from_west && instr.op1 != west && instr.op2 != west) as usize;
+        if pops == 0 {
+            return false;
+        }
+        let own = (instr.op != Opcode::Nop && instr.res == Addr::Port(Direction::East)) as usize
+            + instr.route.is_some_and(|rt| rt.to == Direction::East) as usize;
+        (1..self.cfg.cols).any(|c| self.grid.horizontal_ref(r, c).len() + own < pops)
+    }
+
+    /// Leaves eager execution for the stepping sweep for the rest of the
+    /// run (see the module docs): PEs with queued input entries join the
+    /// active set, which from now on keeps the fabric from quiescing while
+    /// entries remain.
+    fn leave_eager(&mut self) {
+        self.eager.on = false;
+        self.eager.queued = 0;
+        let cols = self.cfg.cols;
+        for r in 0..self.cfg.rows {
+            for c in 0..cols {
+                if !self.grid.pe_inputs_empty(r, c) {
+                    self.active.insert(r * cols + c);
+                }
+            }
+        }
+    }
+
+    /// Runs row `r`'s issue of cycle `t` to completion on every column.
+    fn issue_eagerly(&mut self, r: usize, instr: &Instruction, plan: Plan, t: u64) {
+        let cols = self.cfg.cols;
+        self.bubble_horizon = self.bubble_horizon.max(t + 3 * cols as u64);
+        self.active_pe_cycles += cols as u64;
+        self.batched_pe_cycles += cols as u64;
+        if plan != Plan::Generic {
+            self.pes.mac_row(plan, r * cols, cols);
+            return;
+        }
+        // §3.1 route rules, checked at column 0's LOAD.
+        if let Some(d) = instr.noc_conflict() {
+            let err = SimError::RouterConflict {
+                cycle: t,
+                pe: (r, 0),
+                direction: d.to_string(),
+            };
+            self.eager.hold((t, r * cols, LOAD), err);
+            return;
+        }
+        self.eager.record(t, &ColumnTally::of(instr));
+        for c in 0..cols {
+            if let Err((at, phase, err)) = self.unit(r, c, instr, t + 3 * c as u64) {
+                self.eager.hold((at, r * cols + c, phase), err);
+                return;
+            }
+        }
+    }
+
+    /// One generic instruction at PE `(r, c)`, LOADed at `at` and COMMITted
+    /// at `at + 2`, run back to back. An error comes with its cycle and
+    /// phase.
+    #[inline(always)]
+    fn unit(
+        &mut self,
+        r: usize,
+        c: usize,
+        instr: &Instruction,
+        at: u64,
+    ) -> Result<(), (u64, u8, SimError)> {
+        let idx = r * self.cfg.cols + c;
+        let load_err = |e| (at, LOAD, e);
+        let mut shared = None;
+        let op1 = self
+            .operand(idx, r, c, instr.op1, instr, at, &mut shared)
+            .map_err(load_err)?;
+        let op2 = self
+            .operand(idx, r, c, instr.op2, instr, at, &mut shared)
+            .map_err(load_err)?;
+        // Read-modify-write opcodes read the old result value.
+        let res_in = match (instr.op, instr.res) {
+            (_, Addr::Port(_) | Addr::Null | Addr::Imm) => Vector::ZERO,
+            (Opcode::MacV | Opcode::MacS | Opcode::Acc, a) => {
+                self.pes.read_storage(idx, a).map_err(load_err)?
+            }
+            _ => Vector::ZERO,
+        };
+        let routed = match instr.route {
+            Some(route) => Some(match shared {
+                Some(e) => e,
+                None => self.pop(route.from, r, c, at).map_err(load_err)?,
+            }),
+            None => None,
+        };
+        let result = PeArray::lane_result(instr.op, op1, op2, res_in);
+
+        let done = at + 2;
+        let commit_err = |e| (done, COMMIT, e);
+        if instr.op != Opcode::Nop {
+            match instr.res {
+                Addr::Null => {}
+                Addr::Imm => {
+                    return Err(commit_err(SimError::AddressOutOfRange {
+                        context: "write to immediate".into(),
+                    }))
+                }
+                Addr::Port(d) => {
+                    let tv = TaggedVector {
+                        value: result,
+                        tag: instr.tag,
+                    };
+                    self.push(d, tv, r, c, done).map_err(commit_err)?;
+                }
+                a => {
+                    self.pes.write_storage(idx, a, result).map_err(commit_err)?;
+                }
+            }
+        }
+        if matches!(instr.op, Opcode::MovFlush | Opcode::AddFlush) {
+            match instr.op1 {
+                a @ (Addr::Spad(_) | Addr::Reg(_)) => {
+                    self.pes
+                        .write_storage(idx, a, Vector::ZERO)
+                        .map_err(commit_err)?;
+                }
+                a => {
+                    return Err(commit_err(SimError::AddressOutOfRange {
+                        context: format!("flush-clear of non-storage operand {a}"),
+                    }))
+                }
+            }
+        }
+        if let (Some(route), Some(entry)) = (instr.route, routed) {
+            self.push(route.to, entry, r, c, done).map_err(commit_err)?;
+        }
         Ok(())
     }
 
-    /// Settles any active replay stretch so every architectural structure
-    /// (PE pipelines, injection queue, accumulator storage) is current.
-    /// Called by every mutator that could invalidate the capture or observe
-    /// deferred state (program/meta/feeder swaps, trace attach, direct PE
-    /// access).
-    fn replay_interrupt(&mut self) {
-        if self.replay.active {
-            self.replay_flush(self.cycle);
+    /// Reads one operand of an eager LOAD at `at`. A port read pops; when
+    /// the route pops the same direction, the one entry feeds both.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn operand(
+        &mut self,
+        idx: usize,
+        r: usize,
+        c: usize,
+        addr: Addr,
+        instr: &Instruction,
+        at: u64,
+        shared: &mut Option<TaggedVector>,
+    ) -> Result<Vector, SimError> {
+        match addr {
+            Addr::Null => Ok(Vector::ZERO),
+            Addr::Imm => Ok(instr.imm.unwrap_or(Vector::ZERO)),
+            Addr::Port(d) => {
+                let e = self.pop(d, r, c, at)?;
+                if instr.route.is_some_and(|rt| rt.from == d) {
+                    *shared = Some(e);
+                }
+                Ok(e.value)
+            }
+            a => self.pes.read_storage(idx, a),
         }
-        self.replay.run_len = 0;
     }
 
-    /// Replay gate, run between the orchestrator phase and the PE sweep.
-    /// Returns `true` when this cycle was deferred into the capture
-    /// timeline (the caller skips phases 3–6).
-    fn replay_tick(&mut self, now: u64) -> bool {
-        let nrows = self.cfg.rows;
-        let cols = self.cfg.cols;
-        let cell = &self.issue_window[(now & (self.issue_window.len() as u64 - 1)) as usize];
-        let clean = cell.cycle == now && cell.prefix == nrows as u32;
-        let kind = cell.kind;
-        if self.replay.active {
-            if clean && kind == self.replay.kind && self.replay_harvest() {
-                self.replay.deferred_cycles += 1;
-                self.active_pe_cycles += self.active.count() as u64;
-                self.batched_pe_cycles += self.cfg.pe_count() as u64;
-                if self.replay.tl[0].len() >= REPLAY_CHUNK {
-                    self.replay_absorb_to(now + 1);
-                    self.replay.compact(cols);
-                }
-                return true;
+    /// An eager pop of PE `(r, c)`'s port `d` at `at`.
+    #[inline(always)]
+    fn pop(&mut self, d: Direction, r: usize, c: usize, at: u64) -> Result<TaggedVector, SimError> {
+        let ctx = ErrCtx::Pop { dir: d, pe: (r, c) };
+        let link = match d {
+            Direction::North if r == 0 && self.north_feeder => return self.feeder_pop(c, at, ctx),
+            Direction::North => self.grid.vertical(r, c),
+            Direction::West => self.grid.horizontal(r, c),
+            Direction::South | Direction::East => {
+                return Err(SimError::AddressOutOfRange {
+                    context: format!(
+                        "PE ({r},{c}) reads {d}: only south/east-bound dataflow is instantiated"
+                    ),
+                })
             }
-            // Stretch over (bubble, shape change, or a row re-targeted its
-            // accumulator): settle the deferred cycles and let this cycle
-            // take the normal phases. `clear_capture` (inside the flush)
-            // zeroes the run length, so re-entry stays amortized.
-            self.replay_flush(now);
-            return false;
+        };
+        let e = link.pop(at, ctx)?;
+        if !link.is_zero_source() {
+            self.eager.queued -= 1;
         }
-        if clean {
-            self.replay.run_len += 1;
-            // After `3·cols` consecutive clean cycles every pipeline slot
-            // and pending injection provably holds a uniform MAC, so the
-            // in-flight state is template-describable and entry is attempted.
-            if self.replay.run_len >= 3 * cols as u64 && self.replay_try_enter(now) {
-                self.replay.stretches += 1;
-                self.replay.deferred_cycles += 1;
-                self.active_pe_cycles += self.active.count() as u64;
-                self.batched_pe_cycles += self.cfg.pe_count() as u64;
-                return true;
-            }
-        } else {
-            self.replay.run_len = 0;
-        }
-        false
+        Ok(e)
     }
 
-    /// Attempts stretch entry at clean cycle `e`: decodes the in-flight
-    /// pipeline (per column `c`, the COMMIT slot holds issue `e − 3c − 2`,
-    /// EXECUTE `e − 3c − 1`, the pending injection `e − 3c`; column 0's
-    /// injection is cycle `e`'s fresh issue) into the per-row timeline and
-    /// validates the template: one shape across all `3·cols` in-flight
-    /// cycles and one constant accumulator target per row. On success cycle
-    /// `e` becomes the first deferred cycle; on mismatch the run length
-    /// resets (entry retries stay amortized) and the cycle steps normally.
-    fn replay_try_enter(&mut self, e: u64) -> bool {
-        let nrows = self.cfg.rows;
-        let cols = self.cfg.cols;
-        let win_mask = self.issue_window.len() as u64 - 1;
-        let t_base = e + 1 - 3 * cols as u64;
-        let kind = self.issue_window[(e & win_mask) as usize].kind;
-        // Every cycle in the window is clean (that is what `run_len`
-        // counted), but the *shape* may differ cycle to cycle; the template
-        // needs one.
-        for t in t_base..=e {
-            let cell = &self.issue_window[(t & win_mask) as usize];
-            debug_assert!(cell.cycle == t && cell.prefix == nrows as u32);
-            if cell.kind != kind {
-                self.replay.run_len = 0;
-                return false;
-            }
+    /// An eager pop of north-edge column `c` at `at`: takes a pushed token
+    /// when one is queued, otherwise reserves the feeder's next unreserved
+    /// token, which `feed` must push by `at`.
+    fn feeder_pop(&mut self, c: usize, at: u64, ctx: ErrCtx) -> Result<TaggedVector, SimError> {
+        let link = self.grid.vertical(0, c);
+        if !link.is_empty() {
+            let e = link.pop(at, ctx)?;
+            self.eager.queued -= 1;
+            self.eager.inflight[c].push_back(at);
+            return Ok(e);
         }
-        let mut scratch = std::mem::take(&mut self.replay.scratch);
-        for r in 0..nrows {
-            let base = r * cols;
-            scratch.clear();
-            scratch.resize(3 * cols, ReplayEntry::default());
-            // Template target: the accumulator of cycle `e`'s fresh issue.
-            debug_assert_eq!(self.inject_now.kind[base], Inject::Instr);
-            let h0 = self.inject_now.handle[base];
-            let (target, e0) = ReplayEntry::from_plan(self.ring.plan(h0), self.ring.get(h0).tag);
-            scratch[(e - t_base) as usize] = e0;
-            let mut ok = true;
-            for c in 0..cols {
-                let (ch, eh) = self.pes.replay_slot_handles(base + c);
-                let tc = e - 3 * c as u64 - 2;
-                let (ct, ce) = ReplayEntry::from_plan(self.ring.plan(ch), self.ring.get(ch).tag);
-                let (et, ee) = ReplayEntry::from_plan(self.ring.plan(eh), self.ring.get(eh).tag);
-                if ct != target || et != target {
-                    ok = false;
-                    break;
-                }
-                scratch[(tc - t_base) as usize] = ce;
-                scratch[(tc + 1 - t_base) as usize] = ee;
-                if c > 0 {
-                    debug_assert_eq!(self.inject_now.kind[base + c], Inject::Instr);
-                    let h = self.inject_now.handle[base + c];
-                    let (it, ie) = ReplayEntry::from_plan(self.ring.plan(h), self.ring.get(h).tag);
-                    if it != target {
-                        ok = false;
-                        break;
-                    }
-                    scratch[(tc + 2 - t_base) as usize] = ie;
-                }
+        let reserved = &mut self.eager.reserved[c];
+        // This cycle's feed already ran: a token not pushed now is late.
+        match self.feeders[c].get(reserved.len()) {
+            Some(&tok) if at > self.cycle => {
+                reserved.push_back(at);
+                Ok(tok)
             }
-            if !ok {
-                for t in &mut self.replay.tl {
-                    t.clear();
-                }
-                self.replay.scratch = scratch;
-                self.replay.run_len = 0;
-                return false;
-            }
-            self.replay.targets[r] = target;
-            self.replay.tl[r].extend_from_slice(&scratch);
+            _ => Err(Link::pop_underflow(at, ctx)),
         }
-        self.replay.scratch = scratch;
-        self.replay.kind = kind;
-        self.replay.t_base = t_base;
-        // Storage currently reflects commits through cycle `e − 1`, i.e.
-        // the chain through issue `e − 3c − 3` per column.
-        self.replay.absorbed = e;
-        self.replay.active = true;
-        // Consume the column-0 injections (the deferral harvests them); the
-        // column `c > 0` slots stay pending for the whole stretch and are
-        // re-pointed at reconstructed records at flush.
-        for r in 0..nrows {
-            self.inject_now.kind[r * cols] = Inject::None;
-        }
-        true
     }
 
-    /// Harvests one deferred cycle's fresh issues (column-0 injections)
-    /// into the timeline. Validation first, commitment second: when any row
-    /// re-targeted its accumulator the timeline is left untouched and the
-    /// caller flushes, with this cycle taking the normal phases.
-    fn replay_harvest(&mut self) -> bool {
-        let nrows = self.cfg.rows;
-        let cols = self.cfg.cols;
-        let mut scratch = std::mem::take(&mut self.replay.scratch);
-        scratch.clear();
-        for r in 0..nrows {
-            let base = r * cols;
-            debug_assert_eq!(self.inject_now.kind[base], Inject::Instr);
-            let h = self.inject_now.handle[base];
-            let (target, entry) = ReplayEntry::from_plan(self.ring.plan(h), self.ring.get(h).tag);
-            if target != self.replay.targets[r] {
-                self.replay.scratch = scratch;
-                return false;
-            }
-            scratch.push(entry);
+    /// An eager push out of PE `(r, c)` towards `d`, stamped `at`.
+    #[inline(always)]
+    fn push(
+        &mut self,
+        d: Direction,
+        tv: TaggedVector,
+        r: usize,
+        c: usize,
+        at: u64,
+    ) -> Result<(), SimError> {
+        let (rows, cols) = (self.cfg.rows, self.cfg.cols);
+        let ctx = ErrCtx::Push { dir: d, pe: (r, c) };
+        let sink = match d {
+            Direction::South if r + 1 == rows => Some(self.grid.vertical(rows, c)),
+            Direction::East if c + 1 == cols => Some(self.grid.horizontal(r, cols)),
+            _ => None,
+        };
+        if let Some(sink) = sink {
+            // Queued until its cycle's phase 5 drains it in lane order.
+            sink.push_ahead(tv, at);
+            self.eager.sink_queued += 1;
+            return Ok(());
         }
-        for (r, &entry) in scratch.iter().enumerate() {
-            self.replay.tl[r].push(entry);
-            self.inject_now.kind[r * cols] = Inject::None;
-        }
-        self.replay.scratch = scratch;
-        true
-    }
-
-    /// Advances accumulator storage through virtual cycle `v_new` (the
-    /// chain through issue `v_new − 3c − 3` per column — exactly the
-    /// commits a cycle-stepped run performs before cycle `v_new`'s sweep).
-    fn replay_absorb_to(&mut self, v_new: u64) {
-        let v_old = self.replay.absorbed;
-        if v_new <= v_old {
-            return;
-        }
-        let cols = self.cfg.cols;
-        let rows = self.cfg.rows;
-        // Per-absorb scratch (flushes are amortized ≥ 3·cols cycles apart,
-        // chunk absorbs `REPLAY_CHUNK` cycles apart, so this stays far
-        // under the steady-state allocs/cycle budget).
-        let mut acc: Vec<Vector> = Vec::with_capacity(rows * cols);
-        self.pes.replay_absorb_all(
-            rows,
-            cols,
-            self.replay.kind,
-            &self.replay.targets,
-            &self.replay.tl,
-            self.replay.t_base,
-            v_old,
-            v_new,
-            &mut acc,
-        );
-        self.replay.absorbed = v_new;
-    }
-
-    /// Ends the active stretch at cycle `f` (the first non-deferrable cycle,
-    /// or the current cycle on an interrupt): settles the buffered chains
-    /// into storage, reconstructs the pipeline slots and pending injections
-    /// exactly as a cycle-stepped run would hold them at the start of cycle
-    /// `f`'s sweep, and re-arms detection.
-    fn replay_flush(&mut self, f: u64) {
-        let cols = self.cfg.cols;
-        let nrows = self.cfg.rows;
-        self.replay_absorb_to(f);
-        let kind = self.replay.kind;
-        let t_base = self.replay.t_base;
-        let mut slots: Vec<(InstrHandle, InstrHandle)> = Vec::with_capacity(cols);
-        for r in 0..nrows {
-            let base = r * cols;
-            let target = self.replay.targets[r];
-            slots.clear();
-            for c in 0..cols {
-                let tc = f - 3 * c as u64 - 2;
-                // Reconstructed records are freshly interned: the stretch's
-                // originals may have been overwritten (the ring is sized to
-                // the issue-to-retire window, not to a whole stretch).
-                let ic = self.replay.tl[r][(tc - t_base) as usize].rebuild(kind, target);
-                let ie = self.replay.tl[r][(tc + 1 - t_base) as usize].rebuild(kind, target);
-                let hc = self.ring.intern_planned(ic, Plan::classify(&ic));
-                let he = self.ring.intern_planned(ie, Plan::classify(&ie));
-                slots.push((hc, he));
-                if c > 0 {
-                    debug_assert_eq!(self.inject_now.kind[base + c], Inject::Instr);
-                    let ii = self.replay.tl[r][(tc + 2 - t_base) as usize].rebuild(kind, target);
-                    self.inject_now.handle[base + c] =
-                        self.ring.intern_planned(ii, Plan::classify(&ii));
+        match d {
+            Direction::South | Direction::East => {
+                let south = d == Direction::South;
+                let link = if south {
+                    self.grid.vertical(r + 1, c)
+                } else {
+                    self.grid.horizontal(r, c + 1)
+                };
+                if !link.push_ahead(tv, at) {
+                    return Err(Link::push_overflow(at, ctx));
+                }
+                self.eager.queued += 1;
+                // Link event: the consuming row observes a column-0 entry
+                // the cycle after its stamp.
+                if south && c == 0 {
+                    self.sched.arm(r + 1, at + 1);
                 }
             }
-            self.pes.replay_finalize_row(
-                r,
-                cols,
-                kind,
-                target,
-                &self.replay.tl[r],
-                t_base,
-                f,
-                &slots,
-            );
+            Direction::North | Direction::West => {
+                return Err(SimError::AddressOutOfRange {
+                    context: format!(
+                        "PE ({r},{c}) writes {d}: only south/east-bound dataflow is instantiated"
+                    ),
+                })
+            }
         }
-        self.replay.clear_capture();
+        Ok(())
     }
 
     /// True when all orchestrators are done, all pipelines and links are
@@ -1707,18 +1905,28 @@ impl Fabric {
     /// drain-state collapses to `active.is_empty()`.
     pub fn quiescent(&self) -> bool {
         self.active.is_empty()
+            && self.eager.queued == 0
             && self.cycle >= self.bubble_horizon
             && self.feeders_pending == 0
             && (0..self.rows.len()).all(|r| self.rows.done(r) && self.rows.inbox[r].is_empty())
     }
 
-    /// Runs until quiescent, returning the run report.
+    /// Runs until quiescent, returning the run report. Under
+    /// [`Engine::Fast`] a run that starts at cycle 0 with no trace sink
+    /// executes eagerly (see the module docs); after such a run fails, only
+    /// [`Fabric::report`] and [`Fabric::reset`] are valid.
     ///
     /// # Errors
     ///
     /// Propagates protocol errors and reports a [`SimError::Deadlock`] if the
     /// watchdog budget is exhausted before the fabric drains.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
+        self.assert_usable();
+        let eager = self.cfg.engine == Engine::Fast && self.cycle == 0 && self.trace.is_none();
+        if eager {
+            self.eager.on = true;
+            self.eager.runs += 1;
+        }
         let work: u64 = (0..self.rows.len())
             .map(|r| self.rows.meta_left(r) as u64)
             .sum::<u64>()
@@ -1798,10 +2006,12 @@ impl Fabric {
                     },
                 });
             }
-            if let Err(e) = self.step() {
+            if let Err(e) = self.cycle_once() {
                 break Err(e);
             }
         };
+        self.eager.on = false;
+        self.eager.poisoned = eager && result.is_err();
         // Accumulated on the error path too, so a report taken after a
         // watchdog/protocol abort still attributes the wall time spent.
         self.wall_ns += wall_start.elapsed().as_nanos() as u64;
@@ -1818,7 +2028,7 @@ impl Fabric {
     pub fn report(&self) -> RunReport {
         let mut stats = Stats::new();
         self.pes.activity().add_to(&mut stats);
-        stats.noc_hops = self.grid.total_pushes();
+        stats.noc_hops = self.grid.total_pushes() + self.eager.pushes;
         for r in 0..self.rows.len() {
             stats.orch_steps += self.rows.orch_steps[r];
             stats.orch_transitions += self.rows.transitions[r];
@@ -1851,8 +2061,8 @@ impl Fabric {
         stats.offchip_write_bytes = self.extra_offchip_write;
         stats.active_pe_cycles = self.active_pe_cycles;
         stats.batched_pe_cycles = self.batched_pe_cycles;
-        stats.replayed_cycles = self.replay.deferred_cycles;
-        stats.replay_stretches = self.replay.stretches;
+        stats.replayed_cycles = self.eager.cycles;
+        stats.replay_stretches = self.eager.runs;
         RunReport {
             cycles: self.cycle,
             pes: self.cfg.pe_count(),

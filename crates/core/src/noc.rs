@@ -18,6 +18,16 @@
 //! links never reallocate (the credit protocol proves their occupancy
 //! bound), while sink/elastic links grow to their high-water mark once and
 //! then stay allocation-free.
+//!
+//! ## Push stamps
+//!
+//! Every queued entry carries the cycle it was pushed in, and a pop needs a
+//! head entry stamped at or before the pop. The stepping sweep pushes and
+//! pops in real time, so the check never fails there; the fabric's eager
+//! engine ([`crate::fabric`]) runs instructions ahead of time and pushes
+//! entries stamped with their COMMIT cycle, and the stamp keeps an early
+//! push invisible to pops (and to the `north_tokens` observable) until its
+//! cycle arrives.
 
 use crate::isa::{Direction, Vector, LANES};
 use crate::SimError;
@@ -83,32 +93,49 @@ impl std::fmt::Display for ErrCtx {
     }
 }
 
-/// A fixed-capacity ring buffer of [`TaggedVector`]s. Bounded links size it
-/// once at construction; unbounded flavours (sinks, elastic links) grow it
-/// by doubling, reaching their high-water mark and then never allocating
-/// again.
+/// One queued NoC entry: the payload and the cycle it was pushed in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamped {
+    tv: TaggedVector,
+    stamp: u64,
+}
+
+impl Stamped {
+    const ZERO: Stamped = Stamped {
+        tv: TaggedVector::ZERO,
+        stamp: 0,
+    };
+}
+
+/// A fixed-capacity ring buffer of stamped [`TaggedVector`]s. Bounded links
+/// size it once at construction; unbounded flavours (sinks, elastic links)
+/// grow it by doubling, reaching their high-water mark and then never
+/// allocating again.
 ///
 /// The backing storage is always a power of two so that the wrap-around is
 /// a mask instead of a hardware division — push/pop run once per NoC
 /// transfer of every simulated cycle.
 #[derive(Debug, Clone)]
 struct Ring {
-    buf: Box<[TaggedVector]>,
+    buf: Box<[Stamped]>,
     head: usize,
     len: usize,
     /// Peak occupancy since the last [`Ring::reset`] (drives the shrink —
     /// doubling growth can overshoot the actual peak by up to 2x).
     high_water: usize,
+    /// Size [`Ring::reset`] never shrinks below.
+    floor: usize,
 }
 
 impl Ring {
     fn with_capacity(cap: usize) -> Ring {
         let size = cap.next_power_of_two().max(1);
         Ring {
-            buf: vec![TaggedVector::ZERO; size].into_boxed_slice(),
+            buf: vec![Stamped::ZERO; size].into_boxed_slice(),
             head: 0,
             len: 0,
             high_water: 0,
+            floor: 1,
         }
     }
 
@@ -117,9 +144,9 @@ impl Ring {
     fn reset(&mut self) {
         self.head = 0;
         self.len = 0;
-        let tight = self.high_water.next_power_of_two().max(1);
+        let tight = self.high_water.next_power_of_two().max(self.floor);
         if tight < self.buf.len() {
-            self.buf = vec![TaggedVector::ZERO; tight].into_boxed_slice();
+            self.buf = vec![Stamped::ZERO; tight].into_boxed_slice();
         }
         self.high_water = 0;
     }
@@ -136,7 +163,7 @@ impl Ring {
     /// Doubles the backing storage, re-linearizing the queue.
     fn grow(&mut self) {
         let new_cap = (self.buf.len() * 2).max(8);
-        let mut new_buf = vec![TaggedVector::ZERO; new_cap].into_boxed_slice();
+        let mut new_buf = vec![Stamped::ZERO; new_cap].into_boxed_slice();
         let mask = self.mask();
         for (i, slot) in new_buf.iter_mut().take(self.len).enumerate() {
             *slot = self.buf[(self.head + i) & mask];
@@ -146,7 +173,7 @@ impl Ring {
     }
 
     #[inline]
-    fn push_back(&mut self, entry: TaggedVector) {
+    fn push_back(&mut self, entry: Stamped) {
         debug_assert!(!self.is_full(), "ring push past capacity");
         let idx = (self.head + self.len) & self.mask();
         self.buf[idx] = entry;
@@ -157,7 +184,7 @@ impl Ring {
     }
 
     #[inline]
-    fn pop_front(&mut self) -> Option<TaggedVector> {
+    fn pop_front(&mut self) -> Option<Stamped> {
         if self.len == 0 {
             return None;
         }
@@ -165,6 +192,12 @@ impl Ring {
         self.head = (self.head + 1) & self.mask();
         self.len -= 1;
         Some(entry)
+    }
+
+    /// The `i`-th queued entry, oldest first.
+    #[inline]
+    fn get(&self, i: usize) -> &Stamped {
+        &self.buf[(self.head + i) & self.mask()]
     }
 }
 
@@ -222,6 +255,17 @@ impl Link {
         }
     }
 
+    /// A sink pre-sized for `entries` queued entries, never shrunk below
+    /// that by [`Link::reset`]. The fabric's eager engine queues sink
+    /// entries up to `3·cols` cycles ahead of their drain, so its sinks
+    /// start at that depth instead of growing during the run.
+    pub(crate) fn sink_sized(entries: usize) -> Link {
+        let mut link = Link::sink();
+        link.ring = Ring::with_capacity(entries);
+        link.ring.floor = link.ring.buf.len();
+        link
+    }
+
     /// Creates an elastic link for the static spatial execution mode
     /// (Appendix D): pops of an empty queue return zero instead of erroring
     /// (the compiler schedules warm-up cycles), and capacity is unbounded.
@@ -241,10 +285,10 @@ impl Link {
         if self.zero_source {
             return TaggedVector::ZERO;
         }
-        self.ring.pop_front().unwrap_or(TaggedVector::ZERO)
+        self.ring.pop_front().map_or(TaggedVector::ZERO, |e| e.tv)
     }
 
-    /// Pushes an entry.
+    /// Pushes an entry stamped `cycle`.
     ///
     /// # Errors
     ///
@@ -260,17 +304,33 @@ impl Link {
         if self.zero_source {
             return Err(Self::push_zero_source(cycle, ctx.into()));
         }
-        if self.ring.len >= self.capacity {
+        if !self.push_ahead(entry, cycle) {
             return Err(Self::push_overflow(cycle, ctx.into()));
+        }
+        self.pushes += 1;
+        Ok(())
+    }
+
+    /// Queues an entry stamped `stamp` without counting it (the eager
+    /// engine, which pushes ahead of time, counts NoC hops by cycle
+    /// itself). Returns `false`, queuing nothing, when the link is full. The occupancy seen here is exact for the eager engine's
+    /// pushes: an east link's only consumer is the producer's own row,
+    /// whose pops stamped before the push have all run, and a south link's
+    /// consumer may still owe up to two such pops but, under the
+    /// orchestrators' credit protocol, never lets the link reach capacity
+    /// even counting them.
+    #[inline]
+    pub(crate) fn push_ahead(&mut self, entry: TaggedVector, stamp: u64) -> bool {
+        if self.ring.len >= self.capacity {
+            return false;
         }
         if self.ring.is_full() {
             // Only unbounded flavours reach here (bounded rings are sized to
             // `capacity`, which the check above enforces).
             self.ring.grow();
         }
-        self.ring.push_back(entry);
-        self.pushes += 1;
-        Ok(())
+        self.ring.push_back(Stamped { tv: entry, stamp });
+        true
     }
 
     #[cold]
@@ -280,15 +340,17 @@ impl Link {
         }
     }
 
+    /// The overflow error of a push at `cycle`.
     #[cold]
-    fn push_overflow(cycle: u64, ctx: ErrCtx) -> SimError {
+    pub(crate) fn push_overflow(cycle: u64, ctx: ErrCtx) -> SimError {
         SimError::Deadlock {
             cycle,
             waiting_on: format!("link overflow ({ctx}): credit protocol violated"),
         }
     }
 
-    /// Pops the oldest entry.
+    /// Pops the oldest entry at `cycle`; the entry must be stamped at or
+    /// before `cycle`.
     ///
     /// # Errors
     ///
@@ -299,15 +361,19 @@ impl Link {
         if self.zero_source {
             return Ok(TaggedVector::ZERO);
         }
-        match self.ring.pop_front() {
-            Some(e) => Ok(e),
-            None if self.relaxed => Ok(TaggedVector::ZERO),
-            None => Err(Self::pop_underflow(cycle, ctx.into())),
+        if let Some(entry) = self.pop_due(cycle) {
+            return Ok(entry);
+        }
+        if self.relaxed {
+            Ok(TaggedVector::ZERO)
+        } else {
+            Err(Self::pop_underflow(cycle, ctx.into()))
         }
     }
 
+    /// The underflow error of a pop at `cycle`.
     #[cold]
-    fn pop_underflow(cycle: u64, ctx: ErrCtx) -> SimError {
+    pub(crate) fn pop_underflow(cycle: u64, ctx: ErrCtx) -> SimError {
         SimError::Deadlock {
             cycle,
             waiting_on: format!("pop of empty link ({ctx}): producer/consumer desynchronised"),
@@ -321,7 +387,18 @@ impl Link {
         if self.zero_source {
             return None;
         }
-        self.ring.pop_front()
+        self.ring.pop_front().map(|e| e.tv)
+    }
+
+    /// Pops the oldest entry if it is stamped at or before `cycle` — the
+    /// edge collectors' drain primitive.
+    #[inline]
+    pub fn pop_due(&mut self, cycle: u64) -> Option<TaggedVector> {
+        if self.ring.len > 0 && self.ring.get(0).stamp <= cycle {
+            self.ring.pop_front().map(|e| e.tv)
+        } else {
+            None
+        }
     }
 
     /// Current occupancy (always 0 for zero sources).
@@ -334,6 +411,30 @@ impl Link {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.ring.len == 0
+    }
+
+    /// Entries stamped before `cycle` — the occupancy a consumer observes
+    /// at the start of `cycle` (an early push becomes visible the cycle
+    /// after its stamp).
+    #[inline]
+    pub fn len_before(&self, cycle: u64) -> usize {
+        let mut n = self.ring.len;
+        while n > 0 && self.ring.get(n - 1).stamp >= cycle {
+            n -= 1;
+        }
+        n
+    }
+
+    /// Stamp of the oldest entry stamped at or after `cycle`, if any.
+    pub(crate) fn first_stamp_from(&self, cycle: u64) -> Option<u64> {
+        let visible = self.len_before(cycle);
+        (visible < self.ring.len).then(|| self.ring.get(visible).stamp)
+    }
+
+    /// True for a zero-source edge.
+    #[inline]
+    pub(crate) fn is_zero_source(&self) -> bool {
+        self.zero_source
     }
 
     /// Total pushes observed (a NoC-hop counter).
@@ -446,7 +547,7 @@ impl LinkGrid {
                         Link::zero_source()
                     }
                 } else if r == rows {
-                    Link::sink()
+                    Link::sink_sized(3 * cols)
                 } else {
                     Link::bounded(capacity)
                 });
@@ -458,7 +559,7 @@ impl LinkGrid {
                 horizontal.push(if c == 0 {
                     Link::zero_source()
                 } else if c == cols {
-                    Link::sink()
+                    Link::sink_sized(3 * cols)
                 } else {
                     Link::bounded(capacity)
                 });
@@ -666,6 +767,23 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.to_string().contains("South push at PE (4, 5)"));
+    }
+
+    #[test]
+    fn early_pushes_stay_invisible_until_their_stamp() {
+        let mut l = Link::bounded(2);
+        assert!(l.push_ahead(tv(1, 10), 5));
+        assert_eq!(l.len_before(5), 0, "not visible in its own cycle");
+        assert_eq!(l.len_before(6), 1);
+        assert_eq!(l.first_stamp_from(3), Some(5));
+        assert_eq!(l.pop_due(4), None);
+        assert!(l.pop(4, "t").is_err(), "a pop before the stamp underflows");
+        assert_eq!(l.pop(5, "t").unwrap().tag, 1);
+        assert_eq!(l.push_count(), 0, "early pushes are counted by the caller");
+        assert!(l.push_ahead(tv(2, 20), 7));
+        assert!(l.push_ahead(tv(3, 30), 8));
+        assert!(!l.push_ahead(tv(4, 40), 9), "full");
+        assert_eq!(l.len(), 2);
     }
 
     #[test]

@@ -40,11 +40,20 @@
 //! [`PeArray::load`] runs before loading one — and everything else is
 //! counted by the generic LOAD/COMMIT path as it executes. A fast plan's
 //! scratchpad write-back is thus charged at issue, even when the run stops
-//! before it commits.
+//! before it commits. The fabric's eager engine counts its generic work per
+//! effective cycle and folds each cycle's count in with
+//! [`PeArray::charge`] as that cycle ends.
+//!
+//! ## Sequential semantics
+//!
+//! Forwarding makes a PE's pipeline behave exactly like running its
+//! instructions one after another: a LOAD observes every older
+//! instruction's COMMIT, whether that COMMIT already ran or is still in
+//! flight. The fabric's eager engine relies on this — it runs each issued
+//! instruction to completion, PE by PE, through [`PeArray::mac_row`] and
+//! the storage accessors below, without modelling the pipeline at all.
 
-use crate::isa::{
-    Addr, Direction, InstrHandle, InstrRing, Instruction, Opcode, Plan, PlanKind, Vector,
-};
+use crate::isa::{Addr, Direction, InstrHandle, InstrRing, Instruction, Opcode, Plan, Vector};
 use crate::noc::{ErrCtx, LinkGrid, TaggedVector};
 use crate::stats::Stats;
 use crate::SimError;
@@ -115,6 +124,56 @@ pub struct Activity {
 }
 
 impl Activity {
+    /// Counts one instruction entering a pipeline.
+    #[inline]
+    pub(crate) fn note_instr(&mut self, op: Opcode) {
+        self.instrs += 1;
+        self.compute_instrs += op.is_compute() as u64;
+        self.mac_instrs += op.is_mac() as u64;
+    }
+
+    /// Counts one storage read of `addr` (registers are free).
+    #[inline]
+    pub(crate) fn note_read(&mut self, addr: Addr) {
+        match addr {
+            Addr::DataMem(_) => self.dmem_reads += 1,
+            Addr::Spad(_) => self.spad_reads += 1,
+            _ => {}
+        }
+    }
+
+    /// Counts one storage write of `addr` (registers are free).
+    #[inline]
+    pub(crate) fn note_write(&mut self, addr: Addr) {
+        match addr {
+            Addr::DataMem(_) => self.dmem_writes += 1,
+            Addr::Spad(_) => self.spad_writes += 1,
+            _ => {}
+        }
+    }
+
+    /// Adds `other` into this tally.
+    pub(crate) fn add(&mut self, other: &Activity) {
+        self.instrs += other.instrs;
+        self.compute_instrs += other.compute_instrs;
+        self.mac_instrs += other.mac_instrs;
+        self.dmem_reads += other.dmem_reads;
+        self.dmem_writes += other.dmem_writes;
+        self.spad_reads += other.spad_reads;
+        self.spad_writes += other.spad_writes;
+    }
+
+    /// Subtracts `other` (contained in this tally) from it.
+    pub(crate) fn sub(&mut self, other: &Activity) {
+        self.instrs -= other.instrs;
+        self.compute_instrs -= other.compute_instrs;
+        self.mac_instrs -= other.mac_instrs;
+        self.dmem_reads -= other.dmem_reads;
+        self.dmem_writes -= other.dmem_writes;
+        self.spad_reads -= other.spad_reads;
+        self.spad_writes -= other.spad_writes;
+    }
+
     /// Adds the tally into the matching [`Stats`] counters.
     pub fn add_to(&self, stats: &mut Stats) {
         stats.instrs_executed += self.instrs;
@@ -205,51 +264,6 @@ impl MemMut<'_> {
 fn mem_oob(what: &str, op: &str, addr: usize, len: usize) -> SimError {
     SimError::AddressOutOfRange {
         context: format!("{what} {op} {addr} of {len}"),
-    }
-}
-
-/// Bounds-checked, counted read of word `a` of PE `idx` in an
-/// address-major slab (`words` words per PE, `n` PEs: word `a` of PE `idx`
-/// at `slab[a * n + idx]`) — the one definition of "checked counted slab
-/// access" behind every hot-path memory accessor.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn slab_read(
-    slab: &[Vector],
-    words: usize,
-    n: usize,
-    idx: usize,
-    a: usize,
-    count: &mut u64,
-    what: &'static str,
-) -> Result<Vector, SimError> {
-    if a < words {
-        *count += 1;
-        Ok(slab[a * n + idx])
-    } else {
-        Err(mem_oob(what, "read", a, words))
-    }
-}
-
-/// Bounds-checked, counted write — see [`slab_read`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn slab_write(
-    slab: &mut [Vector],
-    words: usize,
-    n: usize,
-    idx: usize,
-    a: usize,
-    v: Vector,
-    count: &mut u64,
-    what: &'static str,
-) -> Result<(), SimError> {
-    if a < words {
-        *count += 1;
-        slab[a * n + idx] = v;
-        Ok(())
-    } else {
-        Err(mem_oob(what, "write", a, words))
     }
 }
 
@@ -427,62 +441,67 @@ impl PeArray {
         }
     }
 
-    /// Reads PE `idx`'s data-memory word `a`, counting the access.
-    #[inline]
-    fn dmem_read(&mut self, idx: usize, a: usize) -> Result<Vector, SimError> {
-        slab_read(
-            &self.dmem,
-            self.dmem_words,
-            self.n,
-            idx,
-            a,
-            &mut self.activity.dmem_reads,
-            "dmem",
-        )
+    /// Bounds-checked, uncounted read of storage operand `addr`
+    /// (`Reg`/`DataMem`/`Spad`) of PE `idx` — the LOAD-side address checks
+    /// both engines share.
+    #[inline(always)]
+    pub(crate) fn read_storage(&self, idx: usize, addr: Addr) -> Result<Vector, SimError> {
+        match addr {
+            Addr::Reg(i) => {
+                self.regs[idx]
+                    .get(i as usize)
+                    .copied()
+                    .ok_or_else(|| SimError::AddressOutOfRange {
+                        context: format!("register r{i} (of {NUM_REGS})"),
+                    })
+            }
+            Addr::DataMem(a) if (a as usize) < self.dmem_words => {
+                Ok(self.dmem[a as usize * self.n + idx])
+            }
+            Addr::DataMem(a) => Err(mem_oob("dmem", "read", a as usize, self.dmem_words)),
+            Addr::Spad(a) if (a as usize) < self.spad_entries => {
+                Ok(self.spad[a as usize * self.n + idx])
+            }
+            Addr::Spad(a) => Err(mem_oob("spad", "read", a as usize, self.spad_entries)),
+            a => unreachable!("{a} is not a storage operand"),
+        }
     }
 
-    /// Writes PE `idx`'s data-memory word `a`, counting the access.
-    #[inline]
-    fn dmem_write(&mut self, idx: usize, a: usize, v: Vector) -> Result<(), SimError> {
-        slab_write(
-            &mut self.dmem,
-            self.dmem_words,
-            self.n,
-            idx,
-            a,
-            v,
-            &mut self.activity.dmem_writes,
-            "dmem",
-        )
+    /// Bounds-checked, uncounted write of storage operand `addr` of PE
+    /// `idx` — the COMMIT-side address checks both engines share.
+    #[inline(always)]
+    pub(crate) fn write_storage(
+        &mut self,
+        idx: usize,
+        addr: Addr,
+        v: Vector,
+    ) -> Result<(), SimError> {
+        match addr {
+            Addr::Reg(i) => {
+                let slot = self.regs[idx].get_mut(i as usize).ok_or_else(|| {
+                    SimError::AddressOutOfRange {
+                        context: format!("register r{i}"),
+                    }
+                })?;
+                *slot = v;
+            }
+            Addr::DataMem(a) if (a as usize) < self.dmem_words => {
+                self.dmem[a as usize * self.n + idx] = v;
+            }
+            Addr::DataMem(a) => return Err(mem_oob("dmem", "write", a as usize, self.dmem_words)),
+            Addr::Spad(a) if (a as usize) < self.spad_entries => {
+                self.spad[a as usize * self.n + idx] = v;
+            }
+            Addr::Spad(a) => return Err(mem_oob("spad", "write", a as usize, self.spad_entries)),
+            a => unreachable!("{a} is not a storage operand"),
+        }
+        Ok(())
     }
 
-    /// Reads PE `idx`'s scratchpad entry `a`, counting the access.
-    #[inline]
-    fn spad_read(&mut self, idx: usize, a: usize) -> Result<Vector, SimError> {
-        slab_read(
-            &self.spad,
-            self.spad_entries,
-            self.n,
-            idx,
-            a,
-            &mut self.activity.spad_reads,
-            "spad",
-        )
-    }
-
-    /// Writes PE `idx`'s scratchpad entry `a`, counting the access.
-    #[inline]
-    fn spad_write(&mut self, idx: usize, a: usize, v: Vector) -> Result<(), SimError> {
-        slab_write(
-            &mut self.spad,
-            self.spad_entries,
-            self.n,
-            idx,
-            a,
-            v,
-            &mut self.activity.spad_writes,
-            "spad",
-        )
+    /// Folds activity counted outside the array (the eager engine's
+    /// per-cycle generic tally) into the array's tally.
+    pub(crate) fn charge(&mut self, a: &Activity) {
+        self.activity.add(a);
     }
 
     /// Register file access (tests / debugging).
@@ -499,7 +518,10 @@ impl PeArray {
 
     /// Checks whether an in-flight younger instruction (EXECUTE or COMMIT
     /// stage) of PE `idx` will write `addr`, returning the forwarded value if
-    /// so. EXECUTE-stage values take priority (younger instruction).
+    /// so. EXECUTE-stage values take priority (younger instruction). Within
+    /// one instruction the flush-clear wins over the result: COMMIT writes
+    /// the result back and then clears the flushed source, so a flush whose
+    /// source is also its result leaves zero behind.
     #[inline(always)]
     fn forwarded(&self, idx: usize, addr: Addr) -> Option<Vector> {
         if addr == Addr::Null {
@@ -512,12 +534,13 @@ impl PeArray {
             if self.state[s][idx] != Slot::Full {
                 continue;
             }
-            if self.res_addr[s][idx] == addr {
-                return Some(self.results[s][idx]);
-            }
-            // Flush opcodes clear their op1 source at COMMIT.
+            // Flush opcodes clear their op1 source at COMMIT, after the
+            // result write-back.
             if self.flush_addr[s][idx] == addr {
                 return Some(Vector::ZERO);
+            }
+            if self.res_addr[s][idx] == addr {
+                return Some(self.results[s][idx]);
             }
         }
         None
@@ -540,26 +563,9 @@ impl PeArray {
         match addr {
             Addr::Null => Ok(Vector::ZERO),
             Addr::Imm => Ok(instr.imm.unwrap_or(Vector::ZERO)),
-            Addr::Reg(i) => {
-                let base = self.regs[idx].get(i as usize).copied().ok_or_else(|| {
-                    SimError::AddressOutOfRange {
-                        context: format!("register r{i} (of {NUM_REGS})"),
-                    }
-                })?;
-                if !fw_possible {
-                    return Ok(base);
-                }
-                Ok(self.forwarded(idx, addr).unwrap_or(base))
-            }
-            Addr::DataMem(a) => {
-                let v = self.dmem_read(idx, a as usize)?;
-                if !fw_possible {
-                    return Ok(v);
-                }
-                Ok(self.forwarded(idx, addr).unwrap_or(v))
-            }
-            Addr::Spad(a) => {
-                let v = self.spad_read(idx, a as usize)?;
+            Addr::Reg(_) | Addr::DataMem(_) | Addr::Spad(_) => {
+                let v = self.read_storage(idx, addr)?;
+                self.activity.note_read(addr);
                 if !fw_possible {
                     return Ok(v);
                 }
@@ -767,167 +773,43 @@ impl PeArray {
         Ok(())
     }
 
-    /// Column-vectorized COMMIT+LOAD of one whole fabric column: two
-    /// straight-line passes (COMMIT write-back, then LOAD + eager EXECUTE)
-    /// over the address-major slabs at stride `cols`, each dispatched once
-    /// on the column's uniform plan shape instead of once per PE.
-    ///
-    /// The caller (the fabric's per-column uniformity detector) guarantees —
-    /// and debug builds assert — that in every row `r` of the column, the
-    /// COMMIT slot is `Full` with a plan of `commit_kind`, the EXECUTE slot
-    /// is `Full` with a non-generic (MAC) plan, the LOAD slot is empty, and
-    /// `loads[r·cols + col]` is a plan of `load_kind`; both kinds are MAC
-    /// shapes (never [`PlanKind::Generic`]). The per-PE *addresses* still
-    /// differ — each row issued its own instruction — so the plan lookup
-    /// stays per PE; what the pass hoists is the shape dispatch, the
-    /// forwarding scan, and every per-PE call/effect decision. Under the
-    /// invariants it is instruction-for-instruction identical to the scalar
-    /// path:
-    ///
-    /// * MAC plans drive no NoC link and have a null flush address, so the
-    ///   COMMIT write-back is one slab/register store and the effects are
-    ///   constant (retired, no link drives, no wakes);
-    /// * the fused per-PE order empties a PE's COMMIT slot before its LOAD
-    ///   runs, and COMMIT/LOAD touch only PE-local state, so splitting the
-    ///   column into a commit pass followed by a load pass reorders nothing
-    ///   observable; store-to-load forwarding can then only hit the EXECUTE
-    ///   slot — one cached-address compare per operand that *can* match
-    ///   (the MAC result address is `Spad`/`Reg` and the EXECUTE slot's
-    ///   flush address is null, so `DataMem` operands never forward);
-    /// * bounds and activity counts were hoisted to issue time
-    ///   ([`PeArray::validate_and_account`]), exactly as on the scalar
-    ///   path.
-    ///
-    /// Eastward forwarding is bulk-copied: each row's retiring handle lands
-    /// in `forwards[r·cols + col + 1]` (the caller passes the next-cycle
-    /// injection slab, or `None` for the last column, where the scalar path
-    /// drops the handle too).
-    #[allow(clippy::too_many_arguments)]
-    pub fn batch_col(
-        &mut self,
-        col: usize,
-        cols: usize,
-        n_rows: usize,
-        ring: &InstrRing,
-        loads: &[InstrHandle],
-        forwards: Option<&mut [InstrHandle]>,
-        commit_kind: PlanKind,
-        load_kind: PlanKind,
-    ) {
+    /// Eager execution of one fast-plan (MAC) issue across a whole fabric
+    /// row: PE ids `base..base + cols`, in column order, each running the
+    /// MAC to completion (read, multiply-accumulate, write back). Under the
+    /// sequential semantics (module docs) this is exactly what the
+    /// pipelines compute; because every PE of the row uses the same local
+    /// addresses, each operand is one contiguous `cols`-vector slice of an
+    /// address-major slab. Bounds and activity were settled at issue by
+    /// [`PeArray::validate_and_account`].
+    pub(crate) fn mac_row(&mut self, plan: Plan, base: usize, cols: usize) {
         let n = self.n;
-        let commit_s = self.commit_idx();
-        let exec_s = self.exec_idx();
-        let load_s = self.load_idx;
-        #[cfg(debug_assertions)]
-        for r in 0..n_rows {
-            let idx = r * cols + col;
-            assert_eq!(self.state[commit_s][idx], Slot::Full, "batched COMMIT");
-            assert_eq!(self.state[exec_s][idx], Slot::Full, "batched EXECUTE");
-            assert_eq!(self.state[load_s][idx], Slot::Empty, "batched LOAD");
-            assert_eq!(ring.plan(self.handles[commit_s][idx]).kind(), commit_kind);
-            assert_ne!(
-                ring.plan(self.handles[exec_s][idx]).kind(),
-                PlanKind::Generic,
-                "EXECUTE slot must hold a MAC for the forwarding shortcut"
-            );
-            assert_eq!(ring.plan(loads[idx]).kind(), load_kind);
-        }
-        if let Some(fw) = forwards {
-            for r in 0..n_rows {
-                let idx = r * cols + col;
-                fw[idx + 1] = self.handles[commit_s][idx];
-            }
-        }
-        // COMMIT pass: accumulator write-back (counted at issue).
-        match commit_kind {
-            PlanKind::MacSToSpad => {
-                for r in 0..n_rows {
-                    let idx = r * cols + col;
-                    let Plan::MacSToSpad { b, .. } = ring.plan(self.handles[commit_s][idx]) else {
-                        unreachable!("uniform column holds one plan shape")
-                    };
-                    self.spad[b as usize * n + idx] = self.results[commit_s][idx];
-                    self.state[commit_s][idx] = Slot::Empty;
+        let regs = &mut self.regs[base..base + cols];
+        match plan {
+            Plan::MacSToSpad { a, b, imm } => {
+                let m = Vector::splat(imm.lane0());
+                let src = &self.dmem[a as usize * n + base..][..cols];
+                let acc = &mut self.spad[b as usize * n + base..][..cols];
+                for (x, &w) in acc.iter_mut().zip(src) {
+                    *x = x.mac(m, w);
                 }
             }
-            PlanKind::MacSToReg | PlanKind::MacVToReg => {
-                for r in 0..n_rows {
-                    let idx = r * cols + col;
-                    let (Plan::MacSToReg { r: reg, .. } | Plan::MacVToReg { r: reg, .. }) =
-                        ring.plan(self.handles[commit_s][idx])
-                    else {
-                        unreachable!("uniform column holds one plan shape")
-                    };
-                    self.regs[idx][reg as usize] = self.results[commit_s][idx];
-                    self.state[commit_s][idx] = Slot::Empty;
+            Plan::MacSToReg { a, r, imm } => {
+                let m = Vector::splat(imm.lane0());
+                let src = &self.dmem[a as usize * n + base..][..cols];
+                for (pe, &w) in regs.iter_mut().zip(src) {
+                    let x = &mut pe[r as usize];
+                    *x = x.mac(m, w);
                 }
             }
-            PlanKind::Generic => unreachable!("generic plans never batch"),
-        }
-        // LOAD + eager EXECUTE pass.
-        match load_kind {
-            PlanKind::MacSToSpad => {
-                for r in 0..n_rows {
-                    let idx = r * cols + col;
-                    let Plan::MacSToSpad { a, b, imm } = ring.plan(loads[idx]) else {
-                        unreachable!("uniform column holds one plan shape")
-                    };
-                    let op2 = self.dmem[a as usize * n + idx];
-                    let target = Addr::Spad(b);
-                    let res_in = if self.res_addr[exec_s][idx] == target {
-                        self.results[exec_s][idx]
-                    } else {
-                        self.spad[b as usize * n + idx]
-                    };
-                    self.state[load_s][idx] = Slot::Full;
-                    self.results[load_s][idx] = res_in.mac(Vector::splat(imm.lane0()), op2);
-                    self.handles[load_s][idx] = loads[idx];
-                    self.res_addr[load_s][idx] = target;
-                    self.flush_addr[load_s][idx] = Addr::Null;
+            Plan::MacVToReg { a, b, r } => {
+                let mul = &self.spad[a as usize * n + base..][..cols];
+                let src = &self.dmem[b as usize * n + base..][..cols];
+                for ((pe, &s), &w) in regs.iter_mut().zip(mul).zip(src) {
+                    let x = &mut pe[r as usize];
+                    *x = x.mac(s, w);
                 }
             }
-            PlanKind::MacSToReg => {
-                for r in 0..n_rows {
-                    let idx = r * cols + col;
-                    let Plan::MacSToReg { a, r: reg, imm } = ring.plan(loads[idx]) else {
-                        unreachable!("uniform column holds one plan shape")
-                    };
-                    let op2 = self.dmem[a as usize * n + idx];
-                    let target = Addr::Reg(reg);
-                    let res_in = if self.res_addr[exec_s][idx] == target {
-                        self.results[exec_s][idx]
-                    } else {
-                        self.regs[idx][reg as usize]
-                    };
-                    self.state[load_s][idx] = Slot::Full;
-                    self.results[load_s][idx] = res_in.mac(Vector::splat(imm.lane0()), op2);
-                    self.handles[load_s][idx] = loads[idx];
-                    self.res_addr[load_s][idx] = target;
-                    self.flush_addr[load_s][idx] = Addr::Null;
-                }
-            }
-            PlanKind::MacVToReg => {
-                for r in 0..n_rows {
-                    let idx = r * cols + col;
-                    let Plan::MacVToReg { a, b, r: reg } = ring.plan(loads[idx]) else {
-                        unreachable!("uniform column holds one plan shape")
-                    };
-                    let op1 = self.spad[a as usize * n + idx];
-                    let op2 = self.dmem[b as usize * n + idx];
-                    let target = Addr::Reg(reg);
-                    let res_in = if self.res_addr[exec_s][idx] == target {
-                        self.results[exec_s][idx]
-                    } else {
-                        self.regs[idx][reg as usize]
-                    };
-                    self.state[load_s][idx] = Slot::Full;
-                    self.results[load_s][idx] = res_in.mac(op1, op2);
-                    self.handles[load_s][idx] = loads[idx];
-                    self.res_addr[load_s][idx] = target;
-                    self.flush_addr[load_s][idx] = Addr::Null;
-                }
-            }
-            PlanKind::Generic => unreachable!("generic plans never batch"),
+            Plan::Generic => unreachable!("generic plans execute column by column"),
         }
     }
 
@@ -955,9 +837,7 @@ impl PeArray {
                 });
             }
         }
-        self.activity.instrs += 1;
-        self.activity.compute_instrs += instr.op.is_compute() as u64;
-        self.activity.mac_instrs += instr.op.is_mac() as u64;
+        self.activity.note_instr(instr.op);
         // `fw_possible` (hoisted by the caller): a value can only be
         // forwarded from a `Full` EXECUTE/COMMIT slot, so when both are
         // empty (common in sparse bands) every operand read skips the
@@ -1014,7 +894,12 @@ impl PeArray {
         // simulator's work moves.
         self.results[self.load_idx][idx] = Self::lane_result(instr.op, op1, op2, res_in);
         self.handles[self.load_idx][idx] = h;
-        self.res_addr[self.load_idx][idx] = instr.res;
+        // A NOP writes nothing back at COMMIT, so it forwards nothing.
+        self.res_addr[self.load_idx][idx] = if instr.op == Opcode::Nop {
+            Addr::Null
+        } else {
+            instr.res
+        };
         self.flush_addr[self.load_idx][idx] =
             if matches!(instr.op, Opcode::MovFlush | Opcode::AddFlush) {
                 instr.op1
@@ -1026,7 +911,7 @@ impl PeArray {
 
     /// The vector-lane function of one opcode.
     #[inline]
-    fn lane_result(op: Opcode, op1: Vector, op2: Vector, res_in: Vector) -> Vector {
+    pub(crate) fn lane_result(op: Opcode, op1: Vector, op2: Vector, res_in: Vector) -> Vector {
         match op {
             Opcode::Nop => Vector::ZERO,
             Opcode::Mov | Opcode::MovFlush => op1,
@@ -1124,16 +1009,10 @@ impl PeArray {
                         context: "write to immediate".into(),
                     })
                 }
-                Addr::Reg(i) => {
-                    let slot = self.regs[idx].get_mut(i as usize).ok_or_else(|| {
-                        SimError::AddressOutOfRange {
-                            context: format!("register r{i}"),
-                        }
-                    })?;
-                    *slot = result;
+                a @ (Addr::Reg(_) | Addr::DataMem(_) | Addr::Spad(_)) => {
+                    self.write_storage(idx, a, result)?;
+                    self.activity.note_write(a);
                 }
-                Addr::DataMem(a) => self.dmem_write(idx, a as usize, result)?,
-                Addr::Spad(a) => self.spad_write(idx, a as usize, result)?,
                 Addr::Port(d) => {
                     Self::push_port(
                         d,
@@ -1152,14 +1031,9 @@ impl PeArray {
         // Flush-clear of the op1 source.
         if matches!(instr.op, Opcode::MovFlush | Opcode::AddFlush) {
             match instr.op1 {
-                Addr::Spad(a) => self.spad_write(idx, a as usize, Vector::ZERO)?,
-                Addr::Reg(i) => {
-                    let slot = self.regs[idx].get_mut(i as usize).ok_or_else(|| {
-                        SimError::AddressOutOfRange {
-                            context: format!("register r{i}"),
-                        }
-                    })?;
-                    *slot = Vector::ZERO;
+                a @ (Addr::Spad(_) | Addr::Reg(_)) => {
+                    self.write_storage(idx, a, Vector::ZERO)?;
+                    self.activity.note_write(a);
                 }
                 a => {
                     return Err(SimError::AddressOutOfRange {
@@ -1209,282 +1083,6 @@ impl PeArray {
         // The old COMMIT slot (now empty) becomes the new LOAD slot; the
         // old LOAD and EXECUTE slots become EXECUTE and COMMIT in place.
         self.load_idx = self.commit_idx();
-    }
-
-    // ---- Steady-state replay support (see `crate::replay`) ----
-
-    /// COMMIT- and EXECUTE-slot handles of PE `idx`, for the replay
-    /// engine's stretch-entry decode (both slots are provably `Full` on a
-    /// clean stretch — asserted under `debug_assertions`).
-    pub(crate) fn replay_slot_handles(&self, idx: usize) -> (InstrHandle, InstrHandle) {
-        let cs = self.commit_idx();
-        let es = self.exec_idx();
-        debug_assert_eq!(
-            self.state[cs][idx],
-            Slot::Full,
-            "replay entry: COMMIT slot not full"
-        );
-        debug_assert_eq!(
-            self.state[es][idx],
-            Slot::Full,
-            "replay entry: EXECUTE slot not full"
-        );
-        (self.handles[cs][idx], self.handles[es][idx])
-    }
-
-    /// One chain step of a captured MAC issue at PE `idx` (replay flush).
-    #[inline]
-    fn replay_apply(
-        &self,
-        kind: PlanKind,
-        idx: usize,
-        v: Vector,
-        e: &crate::replay::ReplayEntry,
-    ) -> Vector {
-        let n = self.n;
-        match kind {
-            PlanKind::MacSToSpad | PlanKind::MacSToReg => {
-                v.mac(e.imm, self.dmem[e.p1 as usize * n + idx])
-            }
-            PlanKind::MacVToReg => v.mac(
-                self.spad[e.p1 as usize * n + idx],
-                self.dmem[e.p2 as usize * n + idx],
-            ),
-            PlanKind::Generic => unreachable!("generic plans are never captured"),
-        }
-    }
-
-    /// Prefetch hint covering `bytes` from `ptr` (no-op off x86_64): the
-    /// absorb loop's operand slices sit at hardware-prefetch-defeating
-    /// strides (row-staggered bands put consecutive reads ~`n` vectors
-    /// apart), so each row's slice is requested while the previous one is
-    /// being multiplied.
-    #[inline(always)]
-    #[allow(unused_variables)]
-    fn prefetch_bytes(ptr: *const u8, bytes: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let mut off = 0;
-            while off < bytes {
-                // SAFETY: prefetch is a pure hint — it has no memory or
-                // architectural effect even for invalid addresses; `ptr`
-                // itself is derived from an in-bounds slice.
-                unsafe { _mm_prefetch(ptr.add(off) as *const i8, _MM_HINT_T0) };
-                off += 64;
-            }
-        }
-    }
-
-    /// Applies the buffered operand chains of every row to their
-    /// accumulator storage: column `c`'s accumulator currently holds the
-    /// chain through issue `v_old − 3c − 3` and is advanced through issue
-    /// `v_new − 3c − 3` — exactly the commits a cycle-stepped run performs
-    /// up to the start of cycle `v_new`'s PE sweep.
-    ///
-    /// The loop nest is timeline-step-outer, row-inner: issue `t` is
-    /// applied at column `c` when `v_old − 3c − 2 ≤ t ≤ v_new − 3c − 3`,
-    /// and both bounds are linear in `c` with slope −3, so each step
-    /// updates one contiguous column range — the *same* range for every
-    /// row. On an interior step that range is the full row, and because
-    /// lockstep rows typically read the same dmem address, the row-inner
-    /// sweep touches one contiguous `rows × cols`-vector run of the
-    /// address-major slab per step. That streaming order (instead of
-    /// row-outer passes striding the slab in `cols`-sized slices) is what
-    /// keeps the absorb DRAM-bandwidth-bound at full prefetch throughput —
-    /// the absorb performs every deferred multiply of a stretch, so its
-    /// memory behavior is what the replay speedup is made of. The MAC
-    /// itself is a flat lane loop over index-sliced operands, the shape
-    /// LLVM autovectorizes.
-    ///
-    /// `acc` is the caller's reusable whole-fabric accumulator scratch
-    /// (`rows × cols` vectors, row-major). The activity tally is untouched:
-    /// every captured issue was already accounted at issue time by
-    /// [`PeArray::validate_and_account`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_absorb_all(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        kind: PlanKind,
-        targets: &[u16],
-        tls: &[Vec<crate::replay::ReplayEntry>],
-        t_base: u64,
-        v_old: u64,
-        v_new: u64,
-        acc: &mut Vec<Vector>,
-    ) {
-        debug_assert!(v_new >= v_old);
-        debug_assert_eq!(rows * cols, self.n);
-        let n = self.n;
-        acc.clear();
-        match kind {
-            PlanKind::MacSToSpad => {
-                for r in 0..rows {
-                    let s = targets[r] as usize * n + r * cols;
-                    acc.extend_from_slice(&self.spad[s..s + cols]);
-                }
-            }
-            PlanKind::MacSToReg | PlanKind::MacVToReg => {
-                acc.extend((0..n).map(|idx| self.regs[idx][targets[idx / cols] as usize]));
-            }
-            PlanKind::Generic => unreachable!("generic plans are never captured"),
-        }
-        use crate::isa::LANES;
-        let t_lo = v_old as i64 - 3 * (cols as i64 - 1) - 2;
-        let t_hi = v_new as i64 - 3;
-        let col_range = |t: i64| {
-            let c_min = (v_old as i64 - t).div_euclid(3).max(0);
-            let c_max = (v_new as i64 - t - 3).div_euclid(3).min(cols as i64 - 1);
-            (c_min, c_max)
-        };
-        match kind {
-            PlanKind::MacSToSpad | PlanKind::MacSToReg => {
-                for t in t_lo..=t_hi {
-                    let (c_min, c_max) = col_range(t);
-                    if c_min > c_max {
-                        continue;
-                    }
-                    let (c0, len) = (c_min as usize, (c_max - c_min + 1) as usize);
-                    let j = (t as u64 - t_base) as usize;
-                    for r in 0..rows {
-                        if r + 2 < rows {
-                            let ahead = &tls[r + 2][j];
-                            let da = ahead.p1 as usize * n + (r + 2) * cols + c0;
-                            if da + len <= self.dmem.len() {
-                                Self::prefetch_bytes(
-                                    self.dmem[da..].as_ptr() as *const u8,
-                                    len * std::mem::size_of::<Vector>(),
-                                );
-                            }
-                        }
-                        let e = &tls[r][j];
-                        let m = e.imm;
-                        let base = r * cols;
-                        let d = e.p1 as usize * n + base + c0;
-                        let src = &self.dmem[d..d + len];
-                        let dst = &mut acc[base + c0..base + c0 + len];
-                        for i in 0..len {
-                            let w = src[i];
-                            let a = &mut dst[i];
-                            for l in 0..LANES {
-                                a.0[l] = a.0[l].wrapping_add(m.0[l].wrapping_mul(w.0[l]));
-                            }
-                        }
-                    }
-                }
-            }
-            PlanKind::MacVToReg => {
-                for t in t_lo..=t_hi {
-                    let (c_min, c_max) = col_range(t);
-                    if c_min > c_max {
-                        continue;
-                    }
-                    let (c0, len) = (c_min as usize, (c_max - c_min + 1) as usize);
-                    let j = (t as u64 - t_base) as usize;
-                    for r in 0..rows {
-                        if r + 2 < rows {
-                            let ahead = &tls[r + 2][j];
-                            let bytes = len * std::mem::size_of::<Vector>();
-                            let sa = ahead.p1 as usize * n + (r + 2) * cols + c0;
-                            let da = ahead.p2 as usize * n + (r + 2) * cols + c0;
-                            if sa + len <= self.spad.len() {
-                                Self::prefetch_bytes(self.spad[sa..].as_ptr() as *const u8, bytes);
-                            }
-                            if da + len <= self.dmem.len() {
-                                Self::prefetch_bytes(self.dmem[da..].as_ptr() as *const u8, bytes);
-                            }
-                        }
-                        let e = &tls[r][j];
-                        let base = r * cols;
-                        let s = e.p1 as usize * n + base + c0;
-                        let d = e.p2 as usize * n + base + c0;
-                        let mul = &self.spad[s..s + len];
-                        let src = &self.dmem[d..d + len];
-                        let dst = &mut acc[base + c0..base + c0 + len];
-                        for i in 0..len {
-                            let (sv, w) = (mul[i], src[i]);
-                            let a = &mut dst[i];
-                            for l in 0..LANES {
-                                a.0[l] = a.0[l].wrapping_add(sv.0[l].wrapping_mul(w.0[l]));
-                            }
-                        }
-                    }
-                }
-            }
-            PlanKind::Generic => unreachable!("generic plans are never captured"),
-        }
-        match kind {
-            PlanKind::MacSToSpad => {
-                for r in 0..rows {
-                    let s = targets[r] as usize * n + r * cols;
-                    self.spad[s..s + cols].copy_from_slice(&acc[r * cols..(r + 1) * cols]);
-                }
-            }
-            PlanKind::MacSToReg | PlanKind::MacVToReg => {
-                for idx in 0..n {
-                    self.regs[idx][targets[idx / cols] as usize] = acc[idx];
-                }
-            }
-            PlanKind::Generic => unreachable!("generic plans are never captured"),
-        }
-    }
-
-    /// Reconstructs one row's pipeline slots at stretch flush, exactly as a
-    /// cycle-stepped run would have left them at the start of cycle `f`'s
-    /// PE sweep: per column `c`, the COMMIT slot holds issue `f − 3c − 2`
-    /// and the EXECUTE slot issue `f − 3c − 1`, each with its eagerly
-    /// computed chain result and forwarding metadata (`res_addr` is the
-    /// accumulator target, so post-flush loads forward exactly as in a
-    /// stepped run). Storage must already be absorbed through `f` via
-    /// [`PeArray::replay_absorb_all`]; `slot_handles[c]` carries the
-    /// re-interned `(COMMIT, EXECUTE)` records.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_finalize_row(
-        &mut self,
-        row: usize,
-        cols: usize,
-        kind: PlanKind,
-        target: u16,
-        tl: &[crate::replay::ReplayEntry],
-        t_base: u64,
-        f: u64,
-        slot_handles: &[(InstrHandle, InstrHandle)],
-    ) {
-        let n = self.n;
-        let res = match kind {
-            PlanKind::MacSToSpad => Addr::Spad(target),
-            PlanKind::MacSToReg | PlanKind::MacVToReg => Addr::Reg(target as u8),
-            PlanKind::Generic => unreachable!("generic plans are never captured"),
-        };
-        let cs = self.commit_idx();
-        let es = self.exec_idx();
-        for c in 0..cols {
-            let idx = row * cols + c;
-            let storage = match kind {
-                PlanKind::MacSToSpad => self.spad[target as usize * n + idx],
-                _ => self.regs[idx][target as usize],
-            };
-            let jc = (f - 3 * c as u64 - 2 - t_base) as usize;
-            let commit_res = self.replay_apply(kind, idx, storage, &tl[jc]);
-            let exec_res = self.replay_apply(kind, idx, commit_res, &tl[jc + 1]);
-            let (hc, he) = slot_handles[c];
-            debug_assert_eq!(
-                self.state[self.load_idx][idx],
-                Slot::Empty,
-                "replay flush: LOAD slot occupied"
-            );
-            self.state[cs][idx] = Slot::Full;
-            self.results[cs][idx] = commit_res;
-            self.handles[cs][idx] = hc;
-            self.res_addr[cs][idx] = res;
-            self.flush_addr[cs][idx] = Addr::Null;
-            self.state[es][idx] = Slot::Full;
-            self.results[es][idx] = exec_res;
-            self.handles[es][idx] = he;
-            self.res_addr[es][idx] = res;
-            self.flush_addr[es][idx] = Addr::Null;
-        }
     }
 }
 
@@ -1636,6 +1234,41 @@ mod tests {
         // Generic path: the source read and the flush-clear write counted.
         assert_eq!(pes.activity().spad_reads, 1);
         assert_eq!(pes.activity().spad_writes, 1);
+    }
+
+    #[test]
+    fn flush_onto_its_own_source_forwards_zero() {
+        // `MovFlush Spad(1) -> Spad(1)`: COMMIT writes the value back and
+        // then clears the source, leaving zero. A reader one cycle behind
+        // (forwarded from the EXECUTE slot) and one two cycles behind
+        // (reading storage after the COMMIT) must agree on that zero.
+        let mut pes = one_pe();
+        let mut g = grid1x1();
+        pes.pe_mut(0).spad.preload(1, &[Vector::splat(7)]);
+        let mut ring = ring();
+        let flush = ring.intern(Instruction::new(
+            Opcode::MovFlush,
+            Addr::Spad(1),
+            Addr::Null,
+            Addr::Spad(1),
+        ));
+        let read_into =
+            |reg| Instruction::new(Opcode::Mov, Addr::Spad(1), Addr::Null, Addr::Reg(reg));
+        let plus1 = ring.intern(read_into(0));
+        let plus2 = ring.intern(read_into(1));
+        issue(&mut pes, 0, flush, &ring, &mut g, 0).unwrap();
+        pes.advance();
+        issue(&mut pes, 0, plus1, &ring, &mut g, 1).unwrap();
+        pes.advance();
+        commit(&mut pes, 0, &ring, &mut g, 2);
+        issue(&mut pes, 0, plus2, &ring, &mut g, 2).unwrap();
+        pes.advance();
+        commit(&mut pes, 0, &ring, &mut g, 3);
+        pes.advance();
+        commit(&mut pes, 0, &ring, &mut g, 4);
+        assert_eq!(pes.pe(0).spad.word(1), Vector::ZERO);
+        assert_eq!(pes.reg(0, 0), Vector::ZERO, "reader at +1 cycle");
+        assert_eq!(pes.reg(0, 1), Vector::ZERO, "reader at +2 cycles");
     }
 
     #[test]

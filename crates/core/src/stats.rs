@@ -182,24 +182,24 @@ pub struct Stats {
     /// was (under [`crate::Engine::Reference`] every row is stepped every
     /// cycle whatever the wake set holds).
     pub wake_events: u64,
-    /// PE-cycles executed through the column-vectorized batch fast path
-    /// (whole-row LOAD+COMMIT passes over the SoA slabs when every pipeline
-    /// slot of a row holds the same MAC plan shape). A scheduler diagnostic:
-    /// `batched_pe_cycles / active_pe_cycles` is the batch hit rate — the
-    /// fraction of swept PE work the uniformity detector vectorized (always
-    /// 0 under [`crate::Engine::Reference`]). The architectural counters are
-    /// identical either way.
+    /// Instruction-columns the fast engine executed eagerly, a whole row
+    /// per issue (see `crate::fabric`, §Eager execution); under eager
+    /// execution it equals `active_pe_cycles`. A scheduler diagnostic:
+    /// `batched_pe_cycles / active_pe_cycles` is the share of PE work that
+    /// ran eagerly rather than through the per-PE sweep (always 0 under
+    /// [`crate::Engine::Reference`], and on traced or stepped runs). The
+    /// architectural counters are identical either way.
     pub batched_pe_cycles: u64,
-    /// Cycles fast-forwarded by the steady-state replay engine: the PE-array
-    /// sweep of these cycles was deferred and settled arithmetically at the
-    /// next stretch flush (see `crate::replay`). A scheduler diagnostic —
-    /// every architectural counter is identical under either engine;
-    /// `replayed_cycles / cycles` is the fraction of the run the engine
-    /// fast-forwarded.
+    /// Cycles run eagerly: issues decided in these cycles ran to
+    /// completion across their rows at issue, with no per-PE sweep. A
+    /// scheduler diagnostic — every architectural counter is identical
+    /// under either engine; `replayed_cycles / cycles` is the share of the
+    /// run the sweep was skipped for.
     pub replayed_cycles: u64,
-    /// Uniform-issue stretches the replay engine captured and flushed (each
-    /// contributed ≥ 1 to `replayed_cycles`). A scheduler diagnostic:
-    /// `replayed_cycles / replay_stretches` is the mean stretch length.
+    /// Runs that executed eagerly (each contributed ≥ 1 to
+    /// `replayed_cycles`; at most one per [`crate::Fabric::run`]). A
+    /// scheduler diagnostic: `replayed_cycles / replay_stretches` is the
+    /// mean eager run length.
     pub replay_stretches: u64,
 }
 

@@ -20,9 +20,10 @@
 //! alone, provided the sink was attached before the first cycle. The
 //! fast and reference engines ([`crate::Engine`]) emit *identical*
 //! architectural streams (wait spans are coalesced identically whether the
-//! waiting row was parked or polled, and batched columns emit the commit
-//! events the scalar sweep would; see [`TraceEvent::is_architectural`]);
-//! `tests/event_wake.rs` and `tests/replay_differential.rs` diff the two.
+//! waiting row was parked or polled, and a traced run always takes the
+//! per-PE sweep, never eager execution; see
+//! [`TraceEvent::is_architectural`]); `tests/event_wake.rs` and
+//! `tests/batch_column.rs` diff the two.
 //!
 //! ## Consumers
 //!
@@ -241,8 +242,8 @@ pub enum TraceEvent {
         orch_polls_skipped: u64,
         /// Scheduler diagnostic (engine-dependent).
         wake_events: u64,
-        /// Scheduler diagnostic (engine-dependent): PE-cycles executed
-        /// through the column-vectorized batch fast path.
+        /// Scheduler diagnostic (engine-dependent): instruction-columns
+        /// executed eagerly (always 0 on a traced run).
         batched_pe_cycles: u64,
     },
 }

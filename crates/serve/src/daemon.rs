@@ -8,7 +8,8 @@
 //! # Request lifecycle
 //!
 //! ```text
-//! accept → parse → validate            (error reply on bad input)
+//! accept → over MAX_CONNECTIONS?       (busy reply, then close)
+//!   → parse → validate                 (error reply on bad input)
 //!   → store index hit?                 (result reply, cached=true)
 //!   → identical cell in flight/queued? (join its waiter list; one
 //!                                       simulation serves all)
@@ -41,7 +42,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,6 +68,15 @@ pub const EXIT_SIGTERM: i32 = 143;
 /// reply and is closed, so a peer that never sends `\n` cannot exhaust the
 /// daemon's memory.
 const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Most connections served at once, each on a thread of its own. A
+/// connection accepted past the cap gets one `busy` reply (with
+/// [`CONNECTION_RETRY_MS`] as its `retry_after_ms`) and is closed, so a
+/// flood of clients cannot exhaust the daemon's threads.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Backoff suggested to a connection turned away at [`MAX_CONNECTIONS`].
+const CONNECTION_RETRY_MS: u64 = 100;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -154,6 +164,8 @@ struct Shared {
     queue_capacity: usize,
     workers: usize,
     start: Instant,
+    /// Connections currently served (bounded by [`MAX_CONNECTIONS`]).
+    connections: AtomicUsize,
 }
 
 impl Shared {
@@ -551,6 +563,7 @@ pub fn run_daemon(opts: &ServeOptions) -> io::Result<i32> {
         queue_capacity: opts.queue_capacity.max(1),
         workers,
         start: Instant::now(),
+        connections: AtomicUsize::new(0),
     };
     let cache = OperandCache::with_capacity(16.max(2 * workers));
 
@@ -575,9 +588,29 @@ pub fn run_daemon(opts: &ServeOptions) -> io::Result<i32> {
                 break;
             }
             match listener.accept() {
-                Ok((stream, _)) => {
+                Ok((mut stream, _)) => {
+                    if shared.connections.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+                        // Turned away: one `busy` line, then close.
+                        let reply = Reply::Busy {
+                            id: String::new(),
+                            retry_after_ms: CONNECTION_RETRY_MS,
+                            queue_depth: shared
+                                .state
+                                .lock()
+                                .expect("daemon state mutex poisoned")
+                                .queue
+                                .len(),
+                        };
+                        let _ = stream.set_nonblocking(false);
+                        let _ = stream.write_all(format!("{}\n", reply.to_line()).as_bytes());
+                        continue;
+                    }
+                    shared.connections.fetch_add(1, Ordering::Relaxed);
                     let shared = &shared;
-                    scope.spawn(move || serve_connection(shared, stream));
+                    scope.spawn(move || {
+                        serve_connection(shared, stream);
+                        shared.connections.fetch_sub(1, Ordering::Relaxed);
+                    });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(10));

@@ -3,12 +3,14 @@
 //! replies, drain — plus torn-tail journal recovery under the daemon's
 //! append path.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use canon_core::FaultAction;
-use canon_serve::daemon::{run_daemon, ServeOptions, EXIT_DRAINED};
+use canon_serve::daemon::{run_daemon, ServeOptions, EXIT_DRAINED, MAX_CONNECTIONS};
 use canon_serve::protocol::{Reply, Request, SubmitRequest};
 use canon_serve::Client;
 use canon_sparse::gen::SparsityBand;
@@ -537,5 +539,50 @@ fn overlong_request_line_is_rejected_and_closed() {
     let mut c = Client::connect(&socket).unwrap();
     assert!(matches!(c.request(&Request::Status), Ok(Reply::Status(_))));
     drop(c);
+    shutdown_and_join(&socket, handle);
+}
+
+/// Opens a connection the daemon is serving (not one it turned away):
+/// retries until a `status` round trip succeeds on it.
+fn served_connection(socket: &Path) -> UnixStream {
+    for _ in 0..500 {
+        let mut stream = UnixStream::connect(socket).unwrap();
+        stream.write_all(b"{\"cmd\":\"status\"}\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut line)
+            .unwrap();
+        if matches!(Reply::parse(line.trim()), Ok(Reply::Status(_))) {
+            return stream;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("no connection slot freed up");
+}
+
+#[test]
+fn connections_past_the_cap_get_busy_then_eof() {
+    let dir = scratch("conn-cap");
+    let (handle, socket) = start_daemon(opts_for(&dir));
+    let mut held: Vec<UnixStream> = (0..MAX_CONNECTIONS)
+        .map(|_| served_connection(&socket))
+        .collect();
+    // Every slot is taken: the next connection gets one `busy` line with a
+    // backoff, then end-of-file.
+    let turned_away = UnixStream::connect(&socket).unwrap();
+    let mut reader = BufReader::new(turned_away);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match Reply::parse(line.trim()) {
+        Ok(Reply::Busy { retry_after_ms, .. }) => assert!(retry_after_ms > 0),
+        other => panic!("expected busy, got {other:?} from {line:?}"),
+    }
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
+    // A freed slot is served again.
+    held.pop();
+    let again = served_connection(&socket);
+    drop(again);
+    drop(held);
     shutdown_and_join(&socket, handle);
 }

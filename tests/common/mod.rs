@@ -20,12 +20,10 @@ use canon::sparse::{gen, Dense};
 /// Builds an SpMM-shaped fabric over a random problem sized for the
 /// geometry (the same construction `tests/event_wake.rs` uses). Rows
 /// `0..regacc_rows` run the register-accumulation FSM, the rest the window
-/// FSM — a mixed grid issues *different* MAC shapes per row group, which is
-/// exactly the skewed-issue pattern the partial-prefix batch detector has
-/// to handle, and deep dense bands produce the uniform stretches replay
-/// captures. `band_words` is the K-band depth per fabric row in dmem words
-/// — it sets the MAC burst length per output row, and with it how often
-/// columns go uniform.
+/// FSM — a mixed grid issues *different* MAC shapes per row group, and
+/// deep dense bands produce long uniform MAC bursts. `band_words` is the
+/// K-band depth per fabric row in dmem words — it sets the MAC burst length
+/// per output row.
 #[allow(clippy::too_many_arguments)]
 pub fn spmm_fabric(
     rows: usize,
@@ -122,9 +120,9 @@ pub struct RandomSpmm {
 impl RandomSpmm {
     /// Runs the program on the Fast and the Reference engine and asserts
     /// they are architecturally identical. A `traced` run attaches a trace
-    /// sink to both, which keeps replay disengaged (isolating the batch
-    /// sweep) and additionally requires byte-identical architectural event
-    /// streams; an untraced run lets replay engage.
+    /// sink to both, which keeps the fast run on the per-PE sweep, and
+    /// additionally requires byte-identical architectural event streams;
+    /// an untraced fast run executes eagerly.
     pub fn fast_matches_reference(&self, traced: bool) {
         let dims = [8usize, 16, 32, 64];
         let (rows, cols) = (dims[self.rows_sel], dims[self.cols_sel]);
@@ -163,8 +161,8 @@ impl RandomSpmm {
             assert_eq!(fr.stats.replayed_cycles, 0, "replay engaged under a trace");
         }
         assert_fast_invisible((&fast, fr), (&reference, rr));
-        // Byte-identical architectural event streams: the batch pass must
-        // emit every commit event the scalar sweep would, in the same order
+        // Byte-identical architectural event streams: the fast engine must
+        // emit every event the reference engine does, in the same order
         // (the RunEnd footer carries the diagnostics and is excluded with
         // the other scheduler records).
         let (events_f, events_r) = (sink_f.take_events(), sink_r.take_events());
