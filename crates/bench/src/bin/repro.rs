@@ -53,7 +53,9 @@ use canon_core::{CanonConfig, Engine};
 use canon_serve::{Client, Request, ServeOptions, SubmitRequest};
 use canon_sweep::engine::{run_sweep, SweepOptions};
 use canon_sweep::report::{edp_table, quarantine_report_with, speedup_table};
-use canon_sweep::scenario::{standard_workloads, GridBuilder, ScenarioGrid};
+use canon_sweep::scenario::{
+    check_fabric_size, standard_workloads, GridBuilder, ScenarioGrid, MAX_FABRIC_PES,
+};
 use canon_sweep::store::{ResultStore, StoreLock};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
@@ -211,13 +213,13 @@ fn usage() -> ! {
            --out FILE   sweep result store (default: sweep_results.jsonl);\n\
                         for bench, the report file (default: BENCH_sim.json)\n\
            --geom LIST  sweep fabric geometries, e.g. 8x8,16x16 (default: 8x8,\n\
-                        or 64x64,128x64 under --large); baselines are\n\
-                        provisioned iso-MAC at each point\n\
+                        or 64x64,128x64 under --large; at most {MAX_FABRIC_PES} PEs\n\
+                        each); baselines are provisioned iso-MAC at each\n\
+                        point\n\
            --reference-engine  (sweep, serve) simulate every cell on the\n\
-                        reference engine (every row stepped every cycle,\n\
-                        per-PE sweep, no eager execution); the store must\n\
-                        be byte-identical to the default fast engine's (CI\n\
-                        diffs the two)\n\
+                        reference engine (per-PE sweep, no eager\n\
+                        execution); the store must be byte-identical to\n\
+                        the default fast engine's (CI diffs the two)\n\
            --resume     (sweep) continue an interrupted sweep from the store\n\
                         journal: recovered records are reported instead of\n\
                         warned about; finished cells are cache hits\n\
@@ -314,7 +316,13 @@ fn parse_geometries(raw: &str) -> Vec<(usize, usize)> {
                 |s: Option<&str>| s.and_then(|v| v.parse::<usize>().ok()).filter(|&v| v > 0);
             let mut parts = g.split('x');
             match (parse(parts.next()), parse(parts.next()), parts.next()) {
-                (Some(r), Some(c), None) => (r, c),
+                (Some(r), Some(c), None) => {
+                    if let Err(e) = check_fabric_size(r, c) {
+                        eprintln!("--geom {g:?}: {e}");
+                        usage();
+                    }
+                    (r, c)
+                }
                 _ => {
                     eprintln!("--geom needs RxC entries, got {g:?}");
                     usage();

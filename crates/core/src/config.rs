@@ -4,18 +4,19 @@ use crate::fault::FaultAction;
 use crate::isa::LANES;
 
 /// The simulation engine a [`crate::Fabric`] runs (a host choice, never an
-/// architectural parameter).
+/// architectural parameter). Both engines step every orchestrator row every
+/// cycle; they differ only in how [`crate::Fabric::run`] executes the PE
+/// array's work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The simplest correct engine, kept as the differential oracle: every
-    /// orchestrator row is stepped every cycle (a pure wait never parks),
-    /// and every live PE takes the per-PE sweep.
+    /// live PE takes the per-PE sweep.
     Reference,
-    /// The production engine: event-driven row wakeups and, inside
-    /// [`crate::Fabric::run`], eager row-wide execution — each issue runs
-    /// to completion across its row when it is decided (see
-    /// `crate::fabric`, §Eager execution). Traced runs, runs started
-    /// mid-flight, and [`crate::Fabric::step`] take the per-PE sweep.
+    /// The production engine: inside [`crate::Fabric::run`], eager row-wide
+    /// execution — each issue runs to completion across its row when it is
+    /// decided (see `crate::fabric`, §Eager execution). Traced runs, runs
+    /// started mid-flight, and [`crate::Fabric::step`] take the per-PE
+    /// sweep, exactly as under [`Engine::Reference`].
     Fast,
 }
 

@@ -7,13 +7,12 @@
 //!
 //! 1. **edge feed** — the north-edge stream movers push at most one token per
 //!    column into the north edge FIFOs (SDDMM's `A` stream);
-//! 2. **orchestrator phase** — every *woken* row delivers its due
+//! 2. **orchestrator phase** — every row with a program delivers its due
 //!    south-channel credits (visible after
 //!    [`CanonConfig::orch_msg_latency`] cycles), then its FSM observes its
 //!    meta stream head, delivered message, credits, and north-FIFO
 //!    occupancy, and issues one instruction into column 0 (possibly NOP);
-//!    rows whose observable inputs cannot have changed since their last
-//!    decision are skipped entirely (see *Event-driven wakeups* below);
+//!    a done row with no deliverable message returns at once;
 //! 3. **active sweep** — COMMIT (NoC pushes happen this phase, retiring
 //!    instructions are forwarded eastward as 4-byte [`InstrHandle`]s into
 //!    the shared issue ring) and LOAD (which also computes the EXECUTE
@@ -36,47 +35,15 @@
 //! PEs, and the per-cycle quiescence test collapses from a whole-fabric
 //! sweep to `active.is_empty()` plus O(rows) of orchestrator state.
 //!
-//! ## Event-driven wakeups
-//!
-//! The orchestrator phase is scheduled the same way, one level up: a
-//! [`RowSched`] wake bitset tracks which rows must be *stepped* this cycle,
-//! and everything a row's FSM can observe is covered by a wake event:
-//!
-//! * **link events** — a south push landing on a row's column-0 North FIFO
-//!   (its `north_tokens` observable) wakes the consuming row, as does a
-//!   north-edge feeder token on column 0;
-//! * **timed events** — credit returns and inter-orchestrator messages are
-//!   queued with a delivery cycle; the producer arms the consumer row's
-//!   timer at enqueue time, and [`RowSched::fire_due`] moves due rows back
-//!   into the wake set (one comparison per cycle when nothing is due);
-//! * **slot events** — consuming a message frees the sender's
-//!   `msg_slot_free` observable, waking the row above;
-//! * **self events** — a row that made progress (consumed input, issued a
-//!   real instruction, sent a message) trivially stays in the wake set.
-//!
-//! A row leaves the wake set when its action is a **pure wait**
-//! ([`OrchAction::park`], set by every back-pressured stall) or when it has
-//! drained. While parked it costs zero work per cycle; on wake the skipped
-//! window is settled arithmetically — `orch_steps`, `stall_cycles`, and the
-//! bubbles a polling orchestrator would have injected (`cols` pipeline NOPs
-//! per skipped poll) are credited exactly, so cycle counts, results, and
-//! every architectural counter stay byte-identical to
-//! [`Engine::Reference`], which refills the wake set at every phase-2 entry
-//! and never parks a row (`tests/event_wake.rs` diffs the two on random
-//! programs). The only deliberately divergent counters are the engine
-//! diagnostics that [`RunReport::architectural`] zeroes, which measure the
-//! work actually performed.
-//!
 //! ## Engines
 //!
-//! [`CanonConfig::engine`] selects one of two engines. [`Engine::Reference`]
-//! is the simplest correct engine — every row stepped every cycle, the
-//! per-PE sweep of step 3 — and the oracle the fast engine is diffed
-//! against (`tests/event_wake.rs`, `tests/batch_column.rs`,
+//! [`CanonConfig::engine`] selects one of two engines. Both run the same
+//! orchestrator phase (step 2). [`Engine::Reference`] is the simplest
+//! correct engine — the per-PE sweep of step 3 — and the oracle the fast
+//! engine is diffed against (`tests/event_wake.rs`, `tests/batch_column.rs`,
 //! `tests/replay_differential.rs`, `tests/engine_parity.rs`).
-//! [`Engine::Fast`] (the default) runs the event-driven orchestrator phase
-//! above and, inside [`Fabric::run`], **eager row-wide execution** in place
-//! of the per-PE sweep.
+//! [`Engine::Fast`] (the default) differs only inside [`Fabric::run`],
+//! which executes **eagerly, row-wide** in place of the per-PE sweep.
 //!
 //! ### Eager execution
 //!
@@ -112,10 +79,9 @@
 //!   below capacity even counting them.
 //! * **Observables.** `north_tokens` counts the column-0 entries stamped
 //!   before the orchestrator phase (a feeder push is visible the cycle it
-//!   happens). A column-0 south push arms the consuming row's wake timer
-//!   for the cycle after its stamp, and a row that parks re-arms for any
-//!   entry still to become visible. Feeders still step in real time; an
-//!   eager pop of a token not pushed yet *reserves* it, and a reservation
+//!   happens), so an early south push becomes observable the cycle after
+//!   its stamp, as on the stepping sweep. Feeders still step in real time;
+//!   an eager pop of a token not pushed yet *reserves* it, and a reservation
 //!   still unpushed when its stamp arrives is the reference engine's
 //!   underflow. Quiescence extends the bubble horizon to every issue and
 //!   also requires every link entry popped.
@@ -129,14 +95,15 @@
 //! Eager execution is used only by [`Fabric::run`] under [`Engine::Fast`],
 //! and only when the run starts at cycle 0 with no trace sink (every
 //! kernel, sweep, and daemon cell). [`Fabric::step`], traced runs, and
-//! runs started mid-flight take the stepping sweep, so trace streams are
-//! those of the reference engine. After an eager run ends in an error the
-//! fabric holds effects of cycles it never reached: only
-//! [`Fabric::report`] and [`Fabric::reset`] are valid then (checked under
-//! `debug_assertions`). The engine diagnostics mean, under eager
-//! execution: `active_pe_cycles` and `batched_pe_cycles` both count
-//! instruction-columns executed, `replayed_cycles` the cycles run eagerly,
-//! and `replay_stretches` the eager runs.
+//! runs started mid-flight take the stepping sweep, so a traced fast run
+//! takes the reference engine's code path and emits its exact event
+//! stream. After an eager run ends in an error the fabric holds effects of
+//! cycles it never reached: only [`Fabric::report`] and [`Fabric::reset`]
+//! are valid then (checked under `debug_assertions`). The engine
+//! diagnostics mean, under eager execution: `active_pe_cycles` and
+//! `batched_pe_cycles` both count instruction-columns executed,
+//! `replayed_cycles` the cycles run eagerly, and `replay_stretches` the
+//! eager runs.
 //!
 //! ## Instruction handle ring
 //!
@@ -160,9 +127,11 @@
 //!
 //! ## Hot-path discipline
 //!
-//! [`Fabric::step`] is the simulator's cost center (it runs once per
-//! simulated cycle for every sweep cell and figure), so its steady state is
-//! allocation-free:
+//! The eager path in [`Fabric::run`] is the simulator's cost center (it
+//! runs every cycle of every sweep cell, daemon request, and figure: the
+//! orchestrator phase, each issue's row-wide execution, and the sink
+//! drain), so its steady state is allocation-free, as is the stepping
+//! sweep's:
 //!
 //! * NoC error context is carried as copyable [`ErrCtx`](crate::noc::ErrCtx)
 //!   descriptors and rendered only when a protocol error fires;
@@ -198,9 +167,9 @@ use crate::isa::{
 use crate::noc::{ErrCtx, Link, LinkGrid, TaggedVector};
 use crate::orchestrator::{MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram};
 use crate::pe::{Activity, PeArray, PeMut};
-use crate::sched::{ActiveSet, RowSched};
-use crate::stats::{RunReport, StallBreakdown, StallCause, Stats};
-use crate::trace::{TraceRecorder, TraceSink, WakeSource};
+use crate::sched::ActiveSet;
+use crate::stats::{RunReport, StallBreakdown, Stats};
+use crate::trace::{TraceRecorder, TraceSink};
 use crate::SimError;
 use std::collections::VecDeque;
 
@@ -218,17 +187,14 @@ pub struct CollectedEntry {
     pub cycle: u64,
 }
 
-/// `u64` sentinel for "no value" in the row table's cycle-stamped fields.
-const NEVER: u64 = u64::MAX;
-
 /// Sentinel in [`RowTable::last_state`] for a row that has never stepped
 /// (state ids are 3-bit in hardware, so the top byte value is free).
 const NO_STATE: u8 = u8::MAX;
 
 /// Per-row orchestrator state, struct-of-arrays: each field of the former
 /// boxed per-row record is a flat array indexed by row id, mirroring
-/// [`PeArray`]'s layout one level up. The (now sparse, event-driven) row
-/// dispatch touches a handful of hot fields per woken row — the cursor into
+/// [`PeArray`]'s layout one level up. The per-cycle row dispatch touches a
+/// handful of hot fields per row — the cursor into
 /// the meta stream, the credit count, the queue fronts — and those are
 /// dense across rows instead of strided by a whole row record.
 struct RowTable {
@@ -251,15 +217,6 @@ struct RowTable {
     /// row's contribution to [`Stats::stall_cycles`].
     stall_causes: Vec<StallBreakdown>,
     meta_consumed: Vec<u64>,
-    /// Cycle at which the row parked on a pure-wait action ([`NEVER`] when
-    /// not parked). Settled arithmetically at the next wake.
-    parked_at: Vec<u64>,
-    /// Cause of the parked stall, if the parked action was one (its replay
-    /// counts `stall_cycles` under that cause).
-    parked_stall: Vec<Option<StallCause>>,
-    /// Settled orchestrator polls skipped while parked (the event-engine
-    /// saving reported as [`Stats::orch_polls_skipped`]).
-    polls_skipped: Vec<u64>,
 }
 
 impl RowTable {
@@ -281,9 +238,6 @@ impl RowTable {
             messages_sent: vec![0; rows],
             stall_causes: vec![StallBreakdown::default(); rows],
             meta_consumed: vec![0; rows],
-            parked_at: vec![NEVER; rows],
-            parked_stall: vec![None; rows],
-            polls_skipped: vec![0; rows],
         }
     }
 
@@ -309,9 +263,6 @@ impl RowTable {
         self.messages_sent.fill(0);
         self.stall_causes.fill(StallBreakdown::default());
         self.meta_consumed.fill(0);
-        self.parked_at.fill(NEVER);
-        self.parked_stall.fill(None);
-        self.polls_skipped.fill(0);
     }
 
     fn done(&self, r: usize) -> bool {
@@ -584,10 +535,6 @@ pub struct Fabric {
     pes: PeArray,
     grid: LinkGrid,
     rows: RowTable,
-    /// Orchestrator-row wake bitset + delivery timers (see [`RowSched`]).
-    sched: RowSched,
-    /// Distinct row wake events raised (link, timer, and slot events).
-    wake_events: u64,
     /// Issued-instruction ring; everything downstream of issue moves 4-byte
     /// handles into this slab.
     ring: InstrRing,
@@ -668,8 +615,6 @@ impl Fabric {
             pes: PeArray::new(n, cfg.dmem_words, cfg.spad_entries),
             grid: LinkGrid::new(cfg.rows, cfg.cols, cfg.link_fifo_depth, north_edge_feeder),
             rows,
-            sched: RowSched::new(cfg.rows),
-            wake_events: 0,
             // One issue per row per cycle, last read 3·cols − 1 cycles after
             // issue ⇒ the stream needs rows·(3·cols − 1) live records; one
             // extra cycle per row keeps wraps strictly slower than
@@ -765,8 +710,6 @@ impl Fabric {
         });
         self.pes.reset();
         self.grid.clear_links();
-        self.sched.reset();
-        self.wake_events = 0;
         self.ring.reset();
         self.bubble_horizon = 0;
         self.elided_bubbles = 0;
@@ -808,10 +751,6 @@ impl Fabric {
         assert!(
             self.active.is_empty(),
             "pristine fabric: active set not empty"
-        );
-        assert!(
-            self.sched.all_asleep(),
-            "pristine fabric: orchestrator rows awake"
         );
         assert!(
             self.inject_now.is_clear() && self.inject_next.is_clear(),
@@ -883,8 +822,7 @@ impl Fabric {
                 && s.offchip_read_bytes == 0
                 && s.offchip_write_bytes == 0
                 && s.replayed_cycles == 0
-                && s.replay_stretches == 0
-                && s.wake_events == 0,
+                && s.replay_stretches == 0,
             "pristine fabric: nonzero statistics in report: {s:?}"
         );
     }
@@ -919,10 +857,6 @@ impl Fabric {
     pub fn set_program(&mut self, r: usize, program: impl Into<RowProgram>) {
         self.assert_usable();
         self.rows.programs[r] = Some(program.into());
-        // A new program is a fresh decision source: wake the row and forget
-        // any parked pure-wait of the previous program.
-        self.rows.parked_at[r] = NEVER;
-        self.sched.wake(r);
     }
 
     /// Sets row `r`'s input meta-data stream.
@@ -934,8 +868,6 @@ impl Fabric {
         self.assert_usable();
         self.rows.meta[r] = stream;
         self.rows.meta_pos[r] = 0;
-        // The meta head — an orchestrator observable — changed.
-        self.sched.wake(r);
     }
 
     /// Attaches a trace sink: from the next cycle on, every engine layer
@@ -963,32 +895,16 @@ impl Fabric {
         )));
     }
 
-    /// Detaches the trace recorder, closing the stream: still-parked rows'
-    /// pending windows are settled into their wait spans (exactly as
-    /// [`Fabric::report`] settles them, without disturbing the rows' own
-    /// accounting), all spans are flushed, and the
-    /// [`crate::trace::TraceEvent::RunEnd`] footer is recorded. Returns the
-    /// sink, or `None` when no trace was attached.
+    /// Detaches the trace recorder, closing the stream: all pending wait
+    /// spans are flushed and the [`crate::trace::TraceEvent::RunEnd`] footer
+    /// is recorded. Returns the sink, or `None` when no trace was attached.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         let mut tr = self.trace.take()?;
-        let mut polls_skipped = 0;
-        for r in 0..self.rows.len() {
-            polls_skipped += self.rows.polls_skipped[r];
-            if self.rows.parked_at[r] != NEVER {
-                let pending = self.cycle.saturating_sub(self.rows.parked_at[r] + 1);
-                polls_skipped += pending;
-                if pending > 0 {
-                    tr.on_settle(r, pending);
-                }
-            }
-        }
         tr.finish(
             self.cycle,
             self.extra_offchip_read,
             self.extra_offchip_write,
             self.active_pe_cycles,
-            polls_skipped,
-            self.wake_events,
             self.batched_pe_cycles,
         );
         Some(tr.into_sink())
@@ -1067,13 +983,13 @@ impl Fabric {
     }
 
     /// Dispatches orchestrator row `r` at cycle `now`: delivers due
-    /// credits, settles any parked window, steps the FSM, applies its
-    /// action, and decides whether the row stays in the wake set.
+    /// credits, steps the FSM unless the row is drained, and applies its
+    /// action.
     fn step_row(&mut self, r: usize, now: u64) -> Result<(), SimError> {
         let nrows = self.cfg.rows;
         let cols = self.cfg.cols;
         // Deliver due credit returns (observable only from this row's own
-        // step, so delivery can wait for a wake).
+        // step).
         while self.rows.credit_returns[r]
             .front()
             .is_some_and(|&deliver| deliver <= now)
@@ -1085,33 +1001,7 @@ impl Fabric {
             .front()
             .is_some_and(|&(deliver, _)| deliver <= now);
         if self.rows.programs[r].is_none() || (self.rows.done(r) && !has_deliverable_msg) {
-            // Drained: sleep until the next queued message (if any) becomes
-            // deliverable. Done rows never re-park, so no settling needed.
-            self.sched.sleep(r);
-            if let Some(&(deliver, _)) = self.rows.inbox[r].front() {
-                self.sched.arm(r, deliver);
-            }
             return Ok(());
-        }
-        // Settle a parked window: the reference engine would have stepped
-        // this row on every skipped cycle, repeating the parked pure-wait —
-        // one orchestrator step (and stall, if stalled) plus one issued
-        // bubble per cycle. Steps and stalls are credited here; the bubbles
-        // (which touch nothing but per-PE instruction counters) are
-        // credited as `polls_skipped × cols` in [`Fabric::report`].
-        if self.rows.parked_at[r] != NEVER {
-            let skipped = now - self.rows.parked_at[r] - 1;
-            self.rows.orch_steps[r] += skipped;
-            if let Some(cause) = self.rows.parked_stall[r] {
-                self.rows.stall_causes[r].add(cause, skipped);
-            }
-            self.rows.polls_skipped[r] += skipped;
-            self.rows.parked_at[r] = NEVER;
-            if skipped > 0 {
-                if let Some(tr) = self.trace.as_deref_mut() {
-                    tr.on_settle(r, skipped);
-                }
-            }
         }
         let io = OrchIo {
             cycle: now,
@@ -1155,14 +1045,6 @@ impl Fabric {
         }
         if action.consumes_msg() {
             self.rows.inbox[r].pop_front();
-            // Slot event: the northern row's `msg_slot_free` observable may
-            // have flipped.
-            if r > 0 && self.sched.wake(r - 1) {
-                self.wake_events += 1;
-                if let Some(tr) = self.trace.as_deref_mut() {
-                    tr.on_wake(now, r - 1, WakeSource::SlotFreed);
-                }
-            }
         }
         let instr = action.instr;
         if instr.pushes_toward(Direction::South) && r + 1 < nrows {
@@ -1177,10 +1059,6 @@ impl Fabric {
         if instr.pops_from(Direction::North) && r > 0 {
             let deliver = now + self.cfg.orch_msg_latency;
             self.rows.credit_returns[r - 1].push_back(deliver);
-            // Timed event: the row above observes the credit at `deliver`
-            // (with zero latency, at its next step — it precedes us in the
-            // dispatch order, exactly as under the reference engine).
-            self.sched.arm(r - 1, deliver);
         }
         if let Some(m) = action.msg_out() {
             self.rows.messages_sent[r] += 1;
@@ -1193,20 +1071,6 @@ impl Fabric {
                 }
                 let deliver = now + self.cfg.orch_msg_latency;
                 self.rows.inbox[r + 1].push_back((deliver, m));
-                if deliver <= now {
-                    // Zero-latency message: the southern row observes it
-                    // this very cycle (it follows us in dispatch order), so
-                    // a timer — checked at phase start — would be a cycle
-                    // late.
-                    if self.sched.wake(r + 1) {
-                        self.wake_events += 1;
-                        if let Some(tr) = self.trace.as_deref_mut() {
-                            tr.on_wake(now, r + 1, WakeSource::Message);
-                        }
-                    }
-                } else {
-                    self.sched.arm(r + 1, deliver);
-                }
             }
         }
         debug_assert!(
@@ -1247,38 +1111,6 @@ impl Fabric {
             }
             tr.on_orch_step(now, r, &action, issued_handle);
         }
-        // Park decision: a pure wait (and only a pure wait) leaves the wake
-        // set; everything else keeps the row due next cycle. The reference
-        // engine never parks.
-        if self.cfg.engine == Engine::Fast
-            && action.parks()
-            && instr.is_plain_nop()
-            && !action.consumes_input()
-            && !action.consumes_msg()
-            && action.msg_out().is_none()
-        {
-            self.rows.parked_at[r] = now;
-            self.rows.parked_stall[r] = action.stall_cause();
-            if let Some(tr) = self.trace.as_deref_mut() {
-                tr.on_park(now, r);
-            }
-            self.sched.sleep(r);
-            // Arm timers for events already in flight towards this row,
-            // eager south pushes still to become visible included.
-            if let Some(&deliver) = self.rows.credit_returns[r].front() {
-                self.sched.arm(r, deliver);
-            }
-            if r > 0 {
-                if let Some(stamp) = self.grid.vertical_ref(r, 0).first_stamp_from(now) {
-                    self.sched.arm(r, stamp + 1);
-                }
-            }
-            if let Some(&(deliver, _)) = self.rows.inbox[r].front() {
-                if deliver > now {
-                    self.sched.arm(r, deliver);
-                }
-            }
-        }
         Ok(())
     }
 
@@ -1297,43 +1129,20 @@ impl Fabric {
     /// running eagerly, phases 5–6, then the end-of-cycle tally fold.
     fn cycle_once(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
-        let nrows = self.cfg.rows;
 
         // 1. North-edge feeders: at most one token per column per cycle.
         if self.feeders_pending > 0 {
             self.feed(now);
         }
 
-        // 2. Orchestrator phase, event-driven: fire due delivery timers,
-        // then step only woken rows (ascending order — identical dispatch
-        // order to the reference engine, which matters for message-channel
-        // checks). Credits are delivered lazily at dispatch: rows observe
-        // them only in their own step, so a sleeping row's queue can wait.
-        // A finished orchestrator is still stepped while deliverable
-        // messages are pending: its FSM keeps the bypass transitions of the
-        // DONE state so upstream rows can drain through it. Under eager
-        // execution each real issue also runs to completion here.
-        if let Some(tr) = self.trace.as_deref_mut() {
-            self.wake_events += self
-                .sched
-                .fire_due_with(now, |r| tr.on_wake(now, r, WakeSource::Timer));
-        } else {
-            self.wake_events += self.sched.fire_due(now);
-        }
-        // The reference engine steps every row every cycle: it refills the
-        // wake set here (and never parks a row, see `step_row`).
-        if self.cfg.engine == Engine::Reference {
-            for r in 0..nrows {
-                self.sched.wake(r);
-            }
-        }
-        if !self.sched.all_asleep() {
-            for r in 0..nrows {
-                if !self.sched.is_awake(r) {
-                    continue;
-                }
-                self.step_row(r, now)?;
-            }
+        // 2. Orchestrator phase: every row, in ascending order (the order
+        // matters for the message-channel checks). A finished orchestrator
+        // is still stepped while deliverable messages are pending: its FSM
+        // keeps the bypass transitions of the DONE state so upstream rows
+        // can drain through it. Under eager execution each real issue also
+        // runs to completion here.
+        for r in 0..self.cfg.rows {
+            self.step_row(r, now)?;
         }
 
         // Errors found ahead of time are raised when their cycle's sweep
@@ -1381,8 +1190,7 @@ impl Fabric {
     /// FIFO has room. Occupancy counts tokens already popped by eager
     /// issues until their pop stamp; a token an eager pop reserved passes
     /// straight through to that pop. A token landing on column c wakes its
-    /// consumer PE (0, c) — and, on column 0, the top orchestrator row,
-    /// whose `north_tokens` observable just changed.
+    /// consumer PE (0, c).
     fn feed(&mut self, now: u64) {
         let depth = self.cfg.link_fifo_depth;
         for c in 0..self.cfg.cols {
@@ -1411,12 +1219,6 @@ impl Fabric {
                     self.feeders_pending -= 1;
                 }
                 self.extra_offchip_read += self.feeder_bytes_per_token;
-                if c == 0 && self.sched.wake(0) {
-                    self.wake_events += 1;
-                    if let Some(tr) = self.trace.as_deref_mut() {
-                        tr.on_wake(now, 0, WakeSource::Feeder);
-                    }
-                }
             }
             // A reservation still unpushed at its stamp is an underflow.
             if let Some(&p) = self.eager.reserved[c].front() {
@@ -1509,14 +1311,6 @@ impl Fabric {
                     if eff.drives_south {
                         if r + 1 < nrows {
                             self.active.insert(idx + cols);
-                            // Link event: a column-0 south push changes the
-                            // consuming row's `north_tokens` observable.
-                            if c == 0 && self.sched.wake(r + 1) {
-                                self.wake_events += 1;
-                                if let Some(tr) = self.trace.as_deref_mut() {
-                                    tr.on_wake(now, r + 1, WakeSource::Link);
-                                }
-                            }
                         } else {
                             south_sink_dirty = true;
                         }
@@ -1870,8 +1664,7 @@ impl Fabric {
         }
         match d {
             Direction::South | Direction::East => {
-                let south = d == Direction::South;
-                let link = if south {
+                let link = if d == Direction::South {
                     self.grid.vertical(r + 1, c)
                 } else {
                     self.grid.horizontal(r, c + 1)
@@ -1880,11 +1673,6 @@ impl Fabric {
                     return Err(Link::push_overflow(at, ctx));
                 }
                 self.eager.queued += 1;
-                // Link event: the consuming row observes a column-0 entry
-                // the cycle after its stamp.
-                if south && c == 0 {
-                    self.sched.arm(r + 1, at + 1);
-                }
             }
             Direction::North | Direction::West => {
                 return Err(SimError::AddressOutOfRange {
@@ -2036,27 +1824,10 @@ impl Fabric {
             stats.stall_cycles += self.rows.stall_causes[r].total();
             stats.stall_breakdown.merge(&self.rows.stall_causes[r]);
             stats.meta_tokens += self.rows.meta_consumed[r];
-            // Skipped polls, including a still-parked tail (reports taken
-            // after a watchdog/protocol abort): each skipped poll is one
-            // orchestrator step (+ stall) the reference engine would have
-            // performed, plus one bubble traversing the row's `cols` PEs.
-            let mut skipped = self.rows.polls_skipped[r];
-            if self.rows.parked_at[r] != NEVER {
-                let pending = self.cycle.saturating_sub(self.rows.parked_at[r] + 1);
-                stats.orch_steps += pending;
-                if let Some(cause) = self.rows.parked_stall[r] {
-                    stats.stall_cycles += pending;
-                    stats.stall_breakdown.add(cause, pending);
-                }
-                skipped += pending;
-            }
-            stats.orch_polls_skipped += skipped;
-            stats.instrs_executed += skipped * self.cfg.cols as u64;
         }
         // Elided bubbles: each would have latched into every column of its
         // row (`cols` pipeline NOPs counted by the marching simulator).
         stats.instrs_executed += self.elided_bubbles * self.cfg.cols as u64;
-        stats.wake_events = self.wake_events;
         stats.offchip_read_bytes = self.extra_offchip_read;
         stats.offchip_write_bytes = self.extra_offchip_write;
         stats.active_pe_cycles = self.active_pe_cycles;
@@ -2088,6 +1859,7 @@ mod tests {
     use super::*;
     use crate::isa::{Addr, Opcode};
     use crate::orchestrator::OrchAction;
+    use crate::stats::StallCause;
 
     /// A scripted orchestrator that plays back a fixed instruction sequence.
     struct Script {

@@ -425,12 +425,6 @@ impl Link {
         n
     }
 
-    /// Stamp of the oldest entry stamped at or after `cycle`, if any.
-    pub(crate) fn first_stamp_from(&self, cycle: u64) -> Option<u64> {
-        let visible = self.len_before(cycle);
-        (visible < self.ring.len).then(|| self.ring.get(visible).stamp)
-    }
-
     /// True for a zero-source edge.
     #[inline]
     pub(crate) fn is_zero_source(&self) -> bool {
@@ -775,7 +769,6 @@ mod tests {
         assert!(l.push_ahead(tv(1, 10), 5));
         assert_eq!(l.len_before(5), 0, "not visible in its own cycle");
         assert_eq!(l.len_before(6), 1);
-        assert_eq!(l.first_stamp_from(3), Some(5));
         assert_eq!(l.pop_due(4), None);
         assert!(l.pop(4, "t").is_err(), "a pop before the stamp underflows");
         assert_eq!(l.pop(5, "t").unwrap().tag, 1);

@@ -127,6 +127,10 @@ impl StallBreakdown {
 }
 
 /// Aggregated activity counters for one simulation run.
+///
+/// Every counter is architectural and identical under both engines, except
+/// the four engine diagnostics at the end (`active_pe_cycles` through
+/// `replay_stretches`), which [`RunReport::architectural`] zeroes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Instructions entering PE pipelines (including NOPs), summed over PEs.
@@ -168,20 +172,6 @@ pub struct Stats {
     /// actually performs; the remainder is work the pre-scheduler simulator
     /// swept through for nothing.
     pub active_pe_cycles: u64,
-    /// Orchestrator polls the fast engine skipped: row-cycles on which a
-    /// live row was parked on a pure wait and the reference engine, which
-    /// steps every row every cycle, would have rebuilt its `OrchIo` and
-    /// re-stepped its FSM for the same decision. A scheduler diagnostic —
-    /// the architectural counters (`orch_steps`, `stall_cycles`, issued
-    /// bubbles) already include these cycles as if polled (always 0 under
-    /// [`crate::Engine::Reference`]).
-    pub orch_polls_skipped: u64,
-    /// Distinct row wake events raised into the orchestrator wake set (link
-    /// events, delivery timers, freed message slots). A scheduler
-    /// diagnostic: `wake_events / orch_steps` is how event-driven the run
-    /// was (under [`crate::Engine::Reference`] every row is stepped every
-    /// cycle whatever the wake set holds).
-    pub wake_events: u64,
     /// Instruction-columns the fast engine executed eagerly, a whole row
     /// per issue (see `crate::fabric`, §Eager execution); under eager
     /// execution it equals `active_pe_cycles`. A scheduler diagnostic:
@@ -228,8 +218,6 @@ impl Stats {
         self.offchip_read_bytes += other.offchip_read_bytes;
         self.offchip_write_bytes += other.offchip_write_bytes;
         self.active_pe_cycles += other.active_pe_cycles;
-        self.orch_polls_skipped += other.orch_polls_skipped;
-        self.wake_events += other.wake_events;
         self.batched_pe_cycles += other.batched_pe_cycles;
         self.replayed_cycles += other.replayed_cycles;
         self.replay_stretches += other.replay_stretches;
@@ -270,17 +258,15 @@ impl PartialEq for RunReport {
 
 impl RunReport {
     /// This report with the engine diagnostics zeroed: `active_pe_cycles`,
-    /// `orch_polls_skipped`, `wake_events`, `batched_pe_cycles`,
-    /// `replayed_cycles`, and `replay_stretches` measure the work the
-    /// engine performed, so they are the only counters allowed to differ
-    /// between [`crate::Engine::Reference`] and [`crate::Engine::Fast`]
-    /// runs of one program. Everything this keeps must match exactly.
+    /// `batched_pe_cycles`, `replayed_cycles`, and `replay_stretches`
+    /// measure the work the engine performed, so they are the only
+    /// counters allowed to differ between [`crate::Engine::Reference`] and
+    /// [`crate::Engine::Fast`] runs of one program. Everything this keeps
+    /// must match exactly.
     pub fn architectural(&self) -> RunReport {
         let mut r = self.clone();
         let s = &mut r.stats;
         s.active_pe_cycles = 0;
-        s.orch_polls_skipped = 0;
-        s.wake_events = 0;
         s.batched_pe_cycles = 0;
         s.replayed_cycles = 0;
         s.replay_stretches = 0;

@@ -33,7 +33,9 @@ use std::collections::HashMap;
 
 use canon_core::{CanonConfig, FaultAction};
 use canon_sparse::gen::SparsityBand;
-use canon_sweep::scenario::{cell_seed, standard_workloads, Scenario, DEFAULT_BASE_SEED};
+use canon_sweep::scenario::{
+    cell_seed, check_fabric_size, standard_workloads, Scenario, DEFAULT_BASE_SEED,
+};
 use canon_sweep::store::{cell_key, cfg_fingerprint, escape_json, parse_flat_object, JsonVal};
 use canon_sweep::{RecoveryStats, StoredRecord};
 
@@ -111,7 +113,8 @@ impl SubmitRequest {
     }
 
     /// Resolves the request into a concrete [`Scenario`], or a
-    /// client-addressable validation error.
+    /// client-addressable validation error (including a geometry past
+    /// [`canon_sweep::scenario::MAX_FABRIC_PES`]).
     pub fn scenario(&self) -> Result<Scenario, String> {
         let spec = standard_workloads()
             .into_iter()
@@ -130,6 +133,7 @@ impl SubmitRequest {
         if self.scale == 0 || self.geometry.0 == 0 || self.geometry.1 == 0 {
             return Err("scale, rows, and cols must be positive".into());
         }
+        check_fabric_size(self.geometry.0, self.geometry.1)?;
         let seed = self
             .seed
             .unwrap_or_else(|| cell_seed(DEFAULT_BASE_SEED, &self.workload, band, self.scale));
@@ -708,6 +712,23 @@ mod tests {
         req.fault = Some(FaultAction::PanicAt { cycle: 3 });
         let wire = Request::Submit(req.clone()).to_line();
         assert_eq!(Request::parse(&wire), Ok(Request::Submit(req)));
+    }
+
+    #[test]
+    fn oversized_geometry_is_rejected_before_any_fabric_is_built() {
+        let mut req = SubmitRequest::new("big", "GEMM");
+        req.scale = 4;
+        req.geometry = (1, 1 << 20);
+        let err = req.scenario().unwrap_err();
+        assert!(err.contains("16384"), "{err}");
+        // A product that overflows `usize` is rejected, not wrapped.
+        req.geometry = (usize::MAX, 2);
+        assert!(req.scenario().is_err());
+        // The bound itself is inclusive.
+        req.geometry = (128, 128);
+        assert!(req.scenario().is_ok());
+        req.geometry = (128, 129);
+        assert!(req.scenario().is_err());
     }
 
     #[test]

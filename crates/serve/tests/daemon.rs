@@ -542,6 +542,43 @@ fn overlong_request_line_is_rejected_and_closed() {
     shutdown_and_join(&socket, handle);
 }
 
+#[test]
+fn oversized_geometry_submit_gets_an_error_and_the_daemon_keeps_serving() {
+    let dir = scratch("oversized");
+    let (handle, socket) = start_daemon(opts_for(&dir));
+
+    // A million-PE fabric: building it would fail a 16 GiB allocation,
+    // which aborts the process rather than unwinding.
+    let mut stream = UnixStream::connect(&socket).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(
+            b"{\"cmd\":\"submit\",\"workload\":\"GEMM\",\"scale\":4,\
+              \"rows\":1,\"cols\":1048576,\"arch\":\"Canon\"}\n",
+        )
+        .unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    match Reply::parse(reply.trim()) {
+        Ok(Reply::Error { message, .. }) => {
+            assert!(message.contains("1x1048576"), "{message}");
+        }
+        other => panic!("expected an error reply, got {other:?} from {reply:?}"),
+    }
+    drop(stream);
+
+    // The daemon is alive and simulates a normal cell.
+    let mut c = Client::connect(&socket).unwrap();
+    match c.request(&Request::Submit(gemm("after"))).unwrap() {
+        Reply::Result(r) => assert_eq!(r.status, "ok"),
+        other => panic!("expected a result, got {other:?}"),
+    }
+    drop(c);
+    shutdown_and_join(&socket, handle);
+}
+
 /// Opens a connection the daemon is serving (not one it turned away):
 /// retries until a `status` round trip succeeds on it.
 fn served_connection(socket: &Path) -> UnixStream {

@@ -1,14 +1,19 @@
-//! Seeded fuzzing of the line-JSON protocol parsers. Every input — random
-//! byte strings, and truncations and byte flips of valid `submit`/`status`/
+//! Seeded fuzzing of the line-JSON protocol. Every input — random byte
+//! strings, and truncations and byte flips of valid `submit`/`status`/
 //! `cancel` requests and of valid replies — goes through
 //! `String::from_utf8_lossy` (exactly as the daemon decodes a request line)
 //! into `Request::parse`, `Reply::parse` and `parse_flat_object`. Each must
-//! return `Ok`/`Err` (`Some`/`None`); a panic fails the test.
+//! return `Ok`/`Err` (`Some`/`None`); a panic fails the test. Random
+//! submits then go through request handling itself
+//! (`SubmitRequest::scenario` and the store key), which must not panic
+//! either and must never accept a fabric past the size bound.
 
-use canon_core::FaultAction;
+use canon_core::{CanonConfig, FaultAction};
+use canon_energy::Arch;
 use canon_serve::protocol::{Reply, Request, StatusReply, SubmitRequest};
 use canon_sparse::gen::SparsityBand;
-use canon_sweep::store::parse_flat_object;
+use canon_sweep::scenario::{standard_workloads, MAX_FABRIC_PES};
+use canon_sweep::store::{cell_key, cfg_fingerprint, parse_flat_object};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,6 +62,50 @@ fn parse_all(bytes: &[u8]) {
     let _ = Request::parse(&line);
     let _ = Reply::parse(&line);
     let _ = parse_flat_object(&line);
+}
+
+/// Fault fields as a client may spell them: every descriptor kind, plus
+/// near misses that must parse to no fault.
+const FAULTS: &[&str] = &[
+    "panic@3",
+    "withhold-credits",
+    "slow:1000ns",
+    "transient:2",
+    "panic@",
+    "slow:ns",
+    "transient:-1",
+    "bogus",
+    "",
+];
+
+/// A random submit: a standard or junk workload name, any band (or none),
+/// any architecture, any fault string, and `scale`/`rows`/`cols` drawn
+/// from small, grid-sized, and huge (up to 2^40) ranges, so some geometry
+/// products overflow `usize`.
+fn random_submit(rng: &mut StdRng) -> SubmitRequest {
+    let names: Vec<String> = standard_workloads().into_iter().map(|w| w.name).collect();
+    let workload = if rng.gen_bool(0.25) {
+        (0..rng.gen_range(0..12usize))
+            .map(|_| char::from(fuzz_byte(rng) & 0x7f))
+            .collect()
+    } else {
+        names[rng.gen_range(0..names.len())].clone()
+    };
+    let mut req = SubmitRequest::new("fuzz", workload);
+    req.band = match rng.gen_range(0..4usize) {
+        0 => None,
+        i => Some(SparsityBand::all()[i - 1]),
+    };
+    req.arch = Arch::all()[rng.gen_range(0..Arch::all().len())];
+    req.fault = FaultAction::from_descriptor(FAULTS[rng.gen_range(0..FAULTS.len())]);
+    let dim = |rng: &mut StdRng| match rng.gen_range(0..3u8) {
+        0 => rng.gen_range(0..=16usize),
+        1 => rng.gen_range(0..=256usize),
+        _ => rng.gen_range(0..=1u64 << 40) as usize,
+    };
+    req.scale = dim(rng);
+    req.geometry = (dim(rng), dim(rng));
+    req
 }
 
 /// A random byte, half the time drawn from the dialect's own alphabet so
@@ -123,6 +172,27 @@ proptest! {
             let cut = rng.gen_range(0..=bytes.len());
             parse_all(&bytes);
             parse_all(&bytes[..cut]);
+        }
+    }
+
+    #[test]
+    fn random_submits_resolve_without_panic_within_the_fabric_bound(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let req = random_submit(&mut rng);
+        // The request as built, and as the daemon sees it after the wire.
+        let wire = match Request::parse(&Request::Submit(req.clone()).to_line()) {
+            Ok(Request::Submit(r)) => Some(r),
+            _ => None,
+        };
+        for r in std::iter::once(req).chain(wire) {
+            if let Ok(s) = r.scenario() {
+                let (rows, cols) = s.geometry;
+                prop_assert!(
+                    rows.checked_mul(cols).is_some_and(|pes| pes <= MAX_FABRIC_PES),
+                    "accepted a {rows}x{cols} fabric"
+                );
+                let _ = cell_key(&s, &cfg_fingerprint(&r.cfg(&CanonConfig::default())));
+            }
         }
     }
 }

@@ -275,6 +275,28 @@ pub fn large_geometries() -> [(usize, usize); 2] {
     [(64, 64), (128, 64)]
 }
 
+/// The most PEs a requested fabric may have: twice the largest geometry
+/// any grid uses (128×64). Past it, building the fabric's memories can fail
+/// an allocation, which aborts the whole process instead of one cell.
+pub const MAX_FABRIC_PES: usize = 16384;
+
+/// Checks that a `rows`×`cols` fabric has at most [`MAX_FABRIC_PES`] PEs
+/// (the product is computed without overflow). The one gate in front of
+/// fabric construction for geometries that come from outside: daemon
+/// submits and the `--geom` flag.
+///
+/// # Errors
+///
+/// A message naming the geometry and the bound.
+pub fn check_fabric_size(rows: usize, cols: usize) -> Result<(), String> {
+    match rows.checked_mul(cols) {
+        Some(pes) if pes <= MAX_FABRIC_PES => Ok(()),
+        _ => Err(format!(
+            "fabric {rows}x{cols} exceeds the {MAX_FABRIC_PES}-PE limit"
+        )),
+    }
+}
+
 /// The workload templates of [`ScenarioGrid::standard`]: seven tensor
 /// families plus three PolyBench loop nests (one per figure category).
 pub fn standard_workloads() -> Vec<WorkloadSpec> {

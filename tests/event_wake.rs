@@ -1,20 +1,18 @@
-//! Wake-correctness differential: the fast engine's event-driven
-//! orchestrator phase must fire on exactly the cycles a polling one would.
+//! Orchestrator-phase differential: the fast and reference engines must
+//! make every orchestrator decision on the same cycle.
 //!
-//! [`Engine::Reference`] steps every live row every cycle and never parks a
-//! pure wait. These properties run the same random program on it and on
-//! the default [`Engine::Fast`] and diff everything the orchestrators'
-//! decisions can influence — cycle counts, every architectural counter
-//! (including the lazily-settled `orch_steps` / `stall_cycles` / bubble
-//! latches of parked windows), and the full south/east collector sequences
-//! with their exit cycles. A missed wake shows up as a deadlock or a
-//! cycle-count drift; a spurious decision as a counter or collector diff.
+//! Both engines step every live row every cycle. These properties run the
+//! same random program on [`Engine::Reference`] and on the default
+//! [`Engine::Fast`] and diff everything the orchestrators' decisions can
+//! influence — cycle counts, every architectural counter, the full
+//! south/east collector sequences with their exit cycles, and the whole
+//! trace streams. A decision taken on a different cycle shows up as a
+//! deadlock, a cycle-count drift, or a counter or collector diff.
 //!
-//! Shapes are chosen to exercise every wake source: shallow scratchpad
-//! windows force credit stalls (timer wakes), skewed streams drain rows at
-//! different times (done-row sleeps + message-driven re-wakes), bypass
-//! chains exercise the `msg_slot_free` slot wakes, and SDDMM's north-edge
-//! feed exercises the link wakes on `north_tokens`.
+//! Shapes are chosen to exercise every observable input: shallow
+//! scratchpad windows force credit stalls, skewed streams drain rows at
+//! different times (done rows revived by messages), bypass chains exercise
+//! `msg_slot_free`, and SDDMM's north-edge feed exercises `north_tokens`.
 
 use canon::arch::isa::{Vector, LANES};
 use canon::arch::kernels::gemm::RegAccFsm;
@@ -30,7 +28,7 @@ use canon::sparse::{gen, Dense};
 use proptest::prelude::*;
 
 /// Which orchestrator program drives the west-streamed fabric rows — the
-/// differential must cover every in-tree program family's stall/park paths.
+/// differential must cover every in-tree program family's stall paths.
 #[derive(Debug, Clone, Copy)]
 enum ProgramKind {
     /// Native SpMM window FSM (scratchpad psums, bypass chains).
@@ -45,8 +43,7 @@ enum ProgramKind {
 
 /// Builds an SpMM-shaped fabric over a random problem sized for the
 /// geometry, rows driven by `kind`. `depth` in 1..=4 keeps the psum window
-/// shallow so credit back-pressure (the canonical parked wait) actually
-/// occurs.
+/// shallow so credit back-pressure actually occurs.
 fn spmm_fabric(
     rows: usize,
     cols: usize,
@@ -92,8 +89,8 @@ fn spmm_fabric(
 /// reports agree once [`RunReport::architectural`] zeroes the engine
 /// diagnostics (which measure work performed — performing less of it is
 /// the fast engine's purpose), and the collector sequences pin the *when*
-/// of every decision: an instruction issued one cycle late by a missed wake
-/// shifts its exit cycle.
+/// of every decision: an instruction issued one cycle late shifts its exit
+/// cycle.
 fn assert_equivalent(fast: (&Fabric, &RunReport), reference: (&Fabric, &RunReport)) {
     let (ff, fr) = fast;
     let (rf, rr) = reference;
@@ -111,9 +108,8 @@ fn assert_equivalent(fast: (&Fabric, &RunReport), reference: (&Fabric, &RunRepor
 }
 
 /// Builds an SDDMM fabric (the construction `run_sddmm` performs, at one
-/// small fixed geometry): stationary `B` tiles, north-edge `A` feeders —
-/// the feeder-token wake path — and `SddmmFsm` rows whose `LoadA` waits
-/// stall on `north_tokens`.
+/// small fixed geometry): stationary `B` tiles, north-edge `A` feeders, and
+/// `SddmmFsm` rows whose `LoadA` waits stall on `north_tokens`.
 fn sddmm_fabric(m: usize, mask_density: f64, seed: u64, engine: Engine) -> Fabric {
     let (rows, cols) = (2usize, 2usize);
     let (n, k) = (rows * 2, cols * LANES); // H = 2, W = 1
@@ -186,8 +182,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
 
     /// SpMM under random geometry/sparsity/skew with a shallow window:
-    /// exercises credit-stall parking, timer wakes, done-row sleeps, and
-    /// bypass slot wakes.
+    /// exercises credit stalls, delayed credit returns, drained rows, and
+    /// bypass message slots.
     #[test]
     fn event_engine_matches_polling_on_spmm(
         seed in 0u64..10_000,
@@ -212,27 +208,20 @@ proptest! {
         let pr = reference.run().expect("reference engine drains");
         fast.take_trace_sink();
         reference.take_trace_sink();
-        // The fast engine skipped polls without skipping decisions.
         assert_equivalent((&fast, &er), (&reference, &pr));
-        prop_assert!(er.stats.wake_events > 0, "no wake events recorded");
-        prop_assert_eq!(pr.stats.orch_polls_skipped, 0, "reference engine must not skip");
-        // Both engines must emit byte-identical *architectural* event
-        // streams — parked windows coalesce into the same wait spans the
-        // reference engine records step by step. (Scheduler diagnostics —
-        // RowWake/RowPark/RunEnd — legitimately differ.)
+        // A traced run takes the same code path under both engines, so the
+        // whole event streams, RunEnd footer included, must be identical.
         let events_e = sink_e.take_events();
         let events_p = sink_p.take_events();
-        let arch_e: Vec<_> = events_e.iter().filter(|e| e.is_architectural()).collect();
-        let arch_p: Vec<_> = events_p.iter().filter(|e| e.is_architectural()).collect();
-        prop_assert_eq!(arch_e, arch_p, "architectural trace streams diverged");
+        prop_assert_eq!(&events_e, &events_p, "trace streams diverged");
         // And each stream must replay into its own engine's exact report.
         prop_assert_eq!(replay_stats(&events_e), er.clone(), "fast-engine trace replay");
         prop_assert_eq!(replay_stats(&events_p), pr.clone(), "reference-engine trace replay");
     }
 
-    /// SDDMM with north-edge feeders: pins the feeder-token and
-    /// `north_tokens` link-wake paths cycle-exactly (a feeder wake firing
-    /// one cycle late shifts east-collector exit cycles).
+    /// SDDMM with north-edge feeders: pins the feeder tokens and the
+    /// `north_tokens` observable cycle-exactly (a token seen one cycle late
+    /// shifts east-collector exit cycles).
     #[test]
     fn event_engine_matches_polling_on_sddmm_feeders(
         seed in 0u64..10_000,
@@ -250,10 +239,8 @@ proptest! {
         reference.take_trace_sink();
         assert_equivalent((&fast, &er), (&reference, &pr));
         let events_e = sink_e.take_events();
-        let arch_e: Vec<_> = events_e.iter().filter(|e| e.is_architectural()).collect();
-        let arch_p_events = sink_p.take_events();
-        let arch_p: Vec<_> = arch_p_events.iter().filter(|e| e.is_architectural()).collect();
-        prop_assert_eq!(arch_e, arch_p, "architectural trace streams diverged");
+        let events_p = sink_p.take_events();
+        prop_assert_eq!(&events_e, &events_p, "trace streams diverged");
         prop_assert_eq!(replay_stats(&events_e), er.clone(), "fast-engine trace replay");
     }
 }
@@ -261,8 +248,7 @@ proptest! {
 /// SDDMM end to end through the kernel mapper on the default engine (the
 /// engine differential for the feeder paths is
 /// `event_engine_matches_polling_on_sddmm_feeders` above): the result must
-/// match the reference, and the `LoadA` stall path must actually have
-/// parked rows.
+/// match the reference, and the `LoadA` stall path must actually stall.
 #[test]
 fn sddmm_kernel_parks_on_loada_stalls_and_stays_exact() {
     let mut rng = gen::seeded_rng(99);
@@ -277,19 +263,13 @@ fn sddmm_kernel_parks_on_loada_stalls_and_stays_exact() {
         canon::arch::kernels::sddmm::run_sddmm(&CanonConfig::default(), &mapping, &mask, &a, &b)
             .expect("sddmm maps");
     assert_eq!(out.result, canon::sparse::reference::sddmm(&mask, &a, &b));
-    // SDDMM stalls on A-token availability: the fast engine must have
-    // parked (skipped polls) and still recorded the exact stall count.
+    // SDDMM stalls on A-token availability.
     assert!(out.report.stats.stall_cycles > 0, "expected LoadA stalls");
-    assert!(
-        out.report.stats.orch_polls_skipped > 0,
-        "expected parked rows on the stall path"
-    );
 }
 
 /// A deliberately starved fabric: one row stalls forever on a credit that
-/// never comes (its southern neighbour never pops). The fast engine parks
-/// the row and must still hit the watchdog at the same cycle budget as the
-/// reference engine — a parked row is asleep, not forgotten.
+/// never comes (its southern neighbour never pops). The fast engine must
+/// hit the watchdog at the same cycle budget as the reference engine.
 #[test]
 fn starved_row_still_deadlocks_identically() {
     let mk = |engine| {

@@ -103,12 +103,10 @@ fn lut_program_trace_replays_stats_exactly() {
     // And it must equal the native FSM's stream event for event.
     let (native_report, native_events) = traced_run(spmm_fabric(1, 11, false));
     assert_eq!(report, native_report);
-    let arch: Vec<_> = events.iter().filter(|e| e.is_architectural()).collect();
-    let native: Vec<_> = native_events
-        .iter()
-        .filter(|e| e.is_architectural())
-        .collect();
-    assert_eq!(arch, native, "LUT vs native trace streams diverged");
+    assert_eq!(
+        events, native_events,
+        "LUT vs native trace streams diverged"
+    );
 }
 
 #[test]
