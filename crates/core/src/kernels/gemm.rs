@@ -4,15 +4,48 @@
 //! conventional systolic arrays": the streamed operand arrives in row-major
 //! order with no gaps, partial sums accumulate in a SIMD register (the
 //! scratchpad stays idle — Fig 11 shows no scratchpad power under GEMM), and
-//! every row flushes its contribution south on each row boundary. Flushed
-//! fragments ride the NoC south through downstream rows (pass-through routes
-//! along the MAC stream) and are merged at the bottom edge.
+//! every row hands its contribution south on each row boundary.
 //!
 //! The same FSM serves N:M structured sparsity (§4.1.3): with exactly N
 //! non-zeros per M elements the workload is balanced by construction, "there
 //! is no need of workload balancing with scratchpad", and the psum is flushed
 //! to the next row after every group — which is precisely the register-mode
 //! flush-on-row-end behaviour with the structured stream.
+//!
+//! ## Relay vs merge
+//!
+//! [`RegAccFsm`] moves partial sums south in one of two ways:
+//!
+//! * **Relay** ([`RegAccFsm::relay`]): every row flushes `Reg(0)` south with
+//!   `MovFlush` at each row end, and every upstream fragment bypasses the
+//!   row on a pass-through route riding the next MAC. The bottom-edge
+//!   collector sums `rows` fragments per output row. Rows never wait for
+//!   each other, but row `r` relays `r` fragments per output row, so once a
+//!   row's MAC burst is short against the fabric height the relays set the
+//!   pace: cycles grow as `M·rows` and NoC work as `rows²` per output row.
+//! * **Merge** ([`RegAccFsm::merge`]): partial sums are added in flight, as
+//!   a systolic array does. Row 0 flushes like a relay row; every row below
+//!   holds its `RowEnd m` (an operand-wait stall) until the upstream
+//!   `PSUM m` message is in its slot, then issues `AddFlush Reg(0) +
+//!   Port(North) → Port(South)` and passes `PSUM m` on. Only the bottom row's
+//!   full sums reach the collector, and no bypass route is ever set. The
+//!   cost is one synchronisation per row end: each row end waits for the
+//!   row above.
+//!
+//! [`merge_in_flight`] picks the flow from the shape and the geometry (no
+//! configuration knob): merge iff `rows > 2·w`, where `w = nnz(A) /
+//! (M·rows)` is the mean MAC burst per PE row per output row (`K / rows` for
+//! dense). Past that height relays dominate and merging cuts cycles
+//! several-fold (GEMM at 128×64: 33,216 → 1,214). With long bursts (`w ≥
+//! rows`) the two flows run within a cycle of each other, and relay needs
+//! no row-to-row synchronisation. In between (`rows/2 ≤ w < rows`) merging
+//! would still win — the 32×32×32 GEMM at 8×8 (`w = 4`) takes 198 cycles
+//! merged against 344 relayed — but that shape is the pinned GEMM cycle
+//! golden, so the rule leaves the band on relay. The smoke-scale 2:4 at 8×8
+//! has the same `w`/`rows` and stays on relay with it.
+//!
+//! Lane adds wrap, so merging in a different order than the collector
+//! does leaves results bit-identical to `canon_sparse::reference`.
 
 use crate::config::CanonConfig;
 use crate::isa::{Addr, Direction, Instruction, Opcode, Vector};
@@ -22,20 +55,42 @@ use crate::stats::StallCause;
 use crate::SimError;
 use canon_sparse::{CsrMatrix, Dense};
 
-/// Register-accumulation FSM: MACs accumulate into `Reg(0)`, each row end
-/// flushes the register south, incoming psums always bypass (no managed
-/// window).
+/// Whether the register-accumulation mapping of an `M`-row operand with
+/// `nnz` streamed elements on a `rows`-high fabric merges partial sums in
+/// flight ([`RegAccFsm::merge`]) instead of relaying them to the bottom
+/// edge ([`RegAccFsm::relay`]): true iff `rows > 2·w` with `w = nnz /
+/// (M·rows)` (see the [module docs](self)).
+pub fn merge_in_flight(nnz: usize, m: usize, rows: usize) -> bool {
+    // rows > 2·nnz/(M·rows), kept in integers.
+    m * rows * rows > 2 * nnz
+}
+
+/// Register-accumulation FSM: MACs accumulate into `Reg(0)` and each row end
+/// hands the register south, either relayed to the bottom edge or merged
+/// with the upstream psum (see the [module docs](self)).
 #[derive(Debug)]
 pub struct RegAccFsm {
-    m_total: u32,
+    merge: bool,
     done: bool,
 }
 
 impl RegAccFsm {
-    /// Creates the FSM for `m_total` output rows.
-    pub fn new(m_total: usize) -> RegAccFsm {
+    /// The relay FSM for `m_total` output rows: every row end flushes
+    /// `Reg(0)` south and every upstream psum bypasses the row. Also the
+    /// top row of a merging mapping, which has no upstream psum to add.
+    pub fn relay(m_total: usize) -> RegAccFsm {
         RegAccFsm {
-            m_total: m_total as u32,
+            merge: false,
+            done: m_total == 0,
+        }
+    }
+
+    /// The merge FSM for `m_total` output rows, for every row below the
+    /// top: each row end waits for the upstream `PSUM` message, adds the
+    /// arriving psum to `Reg(0)` and sends the sum south.
+    pub fn merge(m_total: usize) -> RegAccFsm {
+        RegAccFsm {
+            merge: true,
             done: m_total == 0,
         }
     }
@@ -55,29 +110,7 @@ impl RegAccFsm {
                 state::MAC,
             )
             .take_input(),
-            Some(MetaToken::RowEnd { row }) => {
-                if io.south_credits == 0 {
-                    return OrchAction::stall(state::FLUSH, StallCause::Credit);
-                }
-                if !io.msg_slot_free {
-                    return OrchAction::stall(state::FLUSH, StallCause::MsgSlot);
-                }
-                OrchAction::issue(
-                    Instruction::new(
-                        Opcode::MovFlush,
-                        Addr::Reg(0),
-                        Addr::Null,
-                        Addr::Port(Direction::South),
-                    )
-                    .with_tag(row),
-                    state::FLUSH,
-                )
-                .take_input()
-                .send(OrchMessage {
-                    id: msg_id::PSUM,
-                    rid: row,
-                })
-            }
+            Some(MetaToken::RowEnd { row }) => self.row_end(io, row),
             Some(MetaToken::End) => {
                 self.done = true;
                 OrchAction::nop(state::DONE).take_input()
@@ -89,15 +122,59 @@ impl RegAccFsm {
             None => OrchAction::nop(state::NOP),
         }
     }
+
+    /// The row end of output row `row`: relaying, flush `Reg(0)` south;
+    /// merging, wait for the upstream psum of `row` (announced by the
+    /// delivered message), add it to `Reg(0)` and send the sum south.
+    #[inline]
+    fn row_end(&self, io: &OrchIo, row: u32) -> OrchAction {
+        let instr = if self.merge {
+            let Some(msg) = io.msg else {
+                return OrchAction::stall(state::FLUSH, StallCause::OperandWait);
+            };
+            debug_assert_eq!(msg.rid, row, "upstream psum out of row order");
+            Instruction::new(
+                Opcode::AddFlush,
+                Addr::Reg(0),
+                Addr::Port(Direction::North),
+                Addr::Port(Direction::South),
+            )
+        } else {
+            Instruction::new(
+                Opcode::MovFlush,
+                Addr::Reg(0),
+                Addr::Null,
+                Addr::Port(Direction::South),
+            )
+        };
+        if io.south_credits == 0 {
+            return OrchAction::stall(state::FLUSH, StallCause::Credit);
+        }
+        if !io.msg_slot_free {
+            return OrchAction::stall(state::FLUSH, StallCause::MsgSlot);
+        }
+        let action = OrchAction::issue(instr.with_tag(row), state::FLUSH)
+            .take_input()
+            .send(OrchMessage {
+                id: msg_id::PSUM,
+                rid: row,
+            });
+        if self.merge {
+            action.take_msg()
+        } else {
+            action
+        }
+    }
 }
 
 impl OrchProgram for RegAccFsm {
     #[inline]
     fn step(&mut self, io: &OrchIo) -> OrchAction {
-        let _ = self.m_total;
-        // Bypass handling stays live after the local stream finished (the
-        // DONE state keeps reacting to upstream psums).
-        if let Some(msg) = io.msg {
+        // A relaying row's bypass handling stays live after the local stream
+        // finished (the DONE state keeps reacting to upstream psums). A
+        // merging row never bypasses: a message that arrives during a MAC
+        // burst waits in its slot for the row end that consumes it.
+        if let Some(msg) = io.msg.filter(|_| !self.merge) {
             // No managed window: every upstream psum bypasses south. A
             // blocked bypass labels the stall with the state of the action it
             // would have carried (the ride-along MAC for an nnz token, a
@@ -225,7 +302,7 @@ mod tests {
 
     #[test]
     fn regacc_fsm_flush_on_rowend() {
-        let mut fsm = RegAccFsm::new(2);
+        let mut fsm = RegAccFsm::relay(2);
         let io = OrchIo {
             cycle: 0,
             input: Some(MetaToken::RowEnd { row: 0 }),
@@ -241,8 +318,79 @@ mod tests {
     }
 
     #[test]
+    fn merge_rule_keeps_the_golden_on_relay() {
+        // Dense 32×32×32 at 8 rows: w = 4, rows = 2·w → relay.
+        assert!(!merge_in_flight(32 * 32, 32, 8));
+        // The same GEMM at 16 rows: w = 2 → merge.
+        assert!(merge_in_flight(32 * 32, 32, 16));
+        // Smoke 2:4 (K = 64) at 8 rows has the golden's w/rows; 2:8 merges.
+        assert!(!merge_in_flight(64 * 32, 64, 8));
+        assert!(merge_in_flight(64 * 16, 64, 8));
+        // Deep K stays on relay at any large geometry.
+        assert!(!merge_in_flight(8 * 16_384, 8, 128));
+        assert!(!merge_in_flight(0, 0, 8));
+    }
+
+    fn merge_io(input: MetaToken, msg: Option<u32>) -> OrchIo {
+        OrchIo {
+            cycle: 0,
+            input: Some(input),
+            msg: msg.map(|rid| OrchMessage {
+                id: msg_id::PSUM,
+                rid,
+            }),
+            south_credits: 2,
+            msg_slot_free: true,
+            north_tokens: usize::from(msg.is_some()),
+        }
+    }
+
+    #[test]
+    fn merge_fsm_holds_row_end_until_upstream_psum() {
+        let mut fsm = RegAccFsm::merge(2);
+        let wait = fsm.step(&merge_io(MetaToken::RowEnd { row: 0 }, None));
+        assert_eq!(wait.stall_cause(), Some(StallCause::OperandWait));
+        assert!(wait.instr.is_plain_nop() && !wait.consumes_input());
+        let a = fsm.step(&merge_io(MetaToken::RowEnd { row: 0 }, Some(0)));
+        assert_eq!(a.instr.op, Opcode::AddFlush);
+        assert_eq!(
+            (a.instr.op1, a.instr.op2, a.instr.res),
+            (
+                Addr::Reg(0),
+                Addr::Port(Direction::North),
+                Addr::Port(Direction::South)
+            )
+        );
+        assert!(a.instr.route.is_none(), "merge never sets a bypass route");
+        assert!(a.consumes_input() && a.consumes_msg());
+        assert_eq!(a.msg_out().unwrap().rid, 0);
+        // Back-pressure on the south channel holds the merge too.
+        let starved = OrchIo {
+            south_credits: 0,
+            ..merge_io(MetaToken::RowEnd { row: 1 }, Some(1))
+        };
+        assert_eq!(fsm.step(&starved).stall_cause(), Some(StallCause::Credit));
+        fsm.step(&merge_io(MetaToken::End, None));
+        assert!(fsm.done());
+    }
+
+    #[test]
+    fn merge_fsm_macs_past_a_waiting_message() {
+        let mut fsm = RegAccFsm::merge(4);
+        let nnz = MetaToken::Nnz {
+            row: 0,
+            col: 1,
+            value: 2,
+        };
+        let a = fsm.step(&merge_io(nnz, Some(0)));
+        assert_eq!(a.instr.op, Opcode::MacS);
+        assert!(a.consumes_input() && !a.consumes_msg());
+        assert!(a.instr.route.is_none() && a.msg_out().is_none());
+    }
+
+    #[test]
     fn regacc_fsm_always_bypasses_messages() {
-        let mut fsm = RegAccFsm::new(4);
+        let mut fsm = RegAccFsm::relay(4);
         let io = OrchIo {
             cycle: 0,
             input: Some(MetaToken::Nnz {

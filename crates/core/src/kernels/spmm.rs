@@ -6,7 +6,9 @@
 //!
 //! * `A` (`M×K`, sparse) is streamed row-major: PE row `r` receives the
 //!   non-zeros whose column falls in its K-segment `[rH, (r+1)H)`, plus a
-//!   row-end token per output row.
+//!   row-end token per output row. `H = ⌈K / rows⌉`: a `K` that is not a
+//!   multiple of the row count is zero-padded, and the segments past `K`
+//!   stream only row ends.
 //! * `B` (`K×N`, dense) is stationary: PE `(r, c)` holds
 //!   `B[rH .. (r+1)H][cL .. (c+1)L]` in data memory (`L` = SIMD lanes), so a
 //!   non-zero `a[m][k]` makes every PE of row `r` read the *same* local
@@ -21,6 +23,7 @@
 use crate::config::CanonConfig;
 use crate::fabric::Fabric;
 use crate::isa::{Addr, Direction, Instruction, Opcode, Vector, LANES};
+use crate::kernels::gemm::{merge_in_flight, RegAccFsm};
 use crate::orchestrator::{msg_id, MetaToken, OrchAction, OrchIo, OrchMessage, OrchProgram};
 use crate::stats::{RunReport, StallCause};
 use crate::SimError;
@@ -62,10 +65,11 @@ pub struct SpmmMapping {
     /// paper's default, used for all §6.2 results, is 16). Clamped to the
     /// configured scratchpad size at run time.
     pub spad_depth: usize,
-    /// When false, partial sums accumulate in a SIMD register and are flushed
-    /// on every row end without a managed window (the structured-sparsity /
-    /// systolic-emulation mode of §4.1.3 — "there is no need of workload
-    /// balancing with scratchpad").
+    /// When false, partial sums accumulate in a SIMD register and are handed
+    /// south on every row end without a managed window (the
+    /// structured-sparsity / systolic-emulation mode of §4.1.3 — "there is
+    /// no need of workload balancing with scratchpad"), relayed or merged in
+    /// flight as [`crate::kernels::gemm::merge_in_flight`] picks.
     pub use_scratchpad: bool,
     /// Orchestrator implementation (native FSM or LUT bitstream).
     pub orchestrator: OrchKind,
@@ -304,16 +308,17 @@ pub struct SpmmOutput {
 }
 
 /// Builds the per-row meta streams for a sparse operand: row `r` receives
-/// the non-zeros with columns in `[rH, (r+1)H)` (column indices localised),
-/// one `RowEnd` per output row, and a final `End`.
+/// the non-zeros with columns in `[rH, (r+1)H)` (column indices localised,
+/// `H = ⌈K / rows⌉`), one `RowEnd` per output row, and a final `End`. When
+/// `K` is not a multiple of `rows`, `K` is zero-padded: segments past `K`
+/// carry only `RowEnd`/`End` tokens.
 pub fn build_row_streams(a: &CsrMatrix, rows: usize) -> Result<Vec<Vec<MetaToken>>, SimError> {
-    let k = a.cols();
-    if !k.is_multiple_of(rows) {
+    if rows == 0 {
         return Err(SimError::Mapping {
-            reason: format!("K = {k} must be a multiple of the row count {rows}"),
+            reason: "the fabric needs at least one row".into(),
         });
     }
-    let h = k / rows;
+    let h = a.cols().div_ceil(rows);
     let mut streams: Vec<Vec<MetaToken>> = vec![Vec::new(); rows];
     for m in 0..a.rows() {
         for (c, v) in a.row_iter(m) {
@@ -335,7 +340,8 @@ pub fn build_row_streams(a: &CsrMatrix, rows: usize) -> Result<Vec<Vec<MetaToken
 }
 
 /// Preloads the `B` tile for column tile `tile` into every PE's data memory.
-/// PE `(r, c)` receives `B[rH + i][base + cL .. base + (c+1)L]` at word `i`.
+/// PE `(r, c)` receives `B[rH + i][base + cL .. base + (c+1)L]` at word `i`;
+/// rows and columns past `B`'s edge read as zero (the K and N padding).
 pub fn preload_b_tile(
     fabric: &mut Fabric,
     b: &Dense,
@@ -374,8 +380,13 @@ pub fn preload_b_tile(
 /// # Errors
 ///
 /// Returns [`SimError::Mapping`] when shapes violate the mapping constraints
-/// (`K` must be a multiple of `cfg.rows`, and the K-segment must fit in data
-/// memory), and propagates simulation protocol errors.
+/// (the inner dimensions must agree, and the K-segment `⌈K / rows⌉` must fit
+/// in data memory), and propagates simulation protocol errors. `K` need not
+/// be a multiple of `cfg.rows`: it is zero-padded up to the next multiple.
+///
+/// Without a scratchpad window the rows run [`RegAccFsm`]; whether they
+/// relay partial sums to the bottom edge or merge them in flight is chosen
+/// from the shape by [`merge_in_flight`].
 pub fn run_spmm(
     cfg: &CanonConfig,
     mapping: &SpmmMapping,
@@ -396,16 +407,12 @@ pub fn run_spmm(
     let m = a.rows();
     let n = b.cols();
     let k = a.cols();
-    if !k.is_multiple_of(cfg.rows) {
-        return Err(SimError::Mapping {
-            reason: format!("K = {k} must be a multiple of rows = {}", cfg.rows),
-        });
-    }
-    let h = k / cfg.rows;
+    let streams = build_row_streams(a, cfg.rows)?;
+    let h = k.div_ceil(cfg.rows);
     let tile_n = cfg.cols * LANES;
     let tiles = n.div_ceil(tile_n);
-    let streams = build_row_streams(a, cfg.rows)?;
     let depth = mapping.spad_depth.min(cfg.spad_entries).max(1);
+    let merge = merge_in_flight(a.nnz(), m, cfg.rows);
 
     let mut result = Dense::zeros(m, n);
     let mut total: Option<RunReport> = None;
@@ -427,14 +434,19 @@ pub fn run_spmm(
                     }
                 }
             } else {
+                // The top row has no upstream psum: it flushes like a relay
+                // row in either flow.
+                let merge_row = merge && r > 0;
                 match mapping.orchestrator {
-                    OrchKind::Native => {
-                        fabric.set_program(r, super::gemm::RegAccFsm::new(m));
-                    }
+                    OrchKind::Native if merge_row => fabric.set_program(r, RegAccFsm::merge(m)),
+                    OrchKind::Native => fabric.set_program(r, RegAccFsm::relay(m)),
                     OrchKind::Lut => {
-                        let program =
-                            crate::orchestrator::assembler::regacc_fsm_spec(m).into_program()?;
-                        fabric.set_program(r, program);
+                        let spec = if merge_row {
+                            crate::orchestrator::assembler::regacc_merge_fsm_spec(m)
+                        } else {
+                            crate::orchestrator::assembler::regacc_fsm_spec(m)
+                        };
+                        fabric.set_program(r, spec.into_program()?);
                     }
                 }
             }
@@ -569,15 +581,47 @@ mod tests {
     #[test]
     fn mapping_errors() {
         let mut rng = gen::seeded_rng(27);
-        let a = gen::random_sparse(4, 30, 0.5, &mut rng); // K=30 not /8
+        // K = 30 is not a multiple of 8 rows: zero-padded, not refused.
+        let a = gen::random_sparse(4, 30, 0.5, &mut rng);
         let b = Dense::random(30, 8, &mut rng);
-        assert!(matches!(
-            run_spmm(&cfg(), &SpmmMapping::default(), &a, &b),
-            Err(SimError::Mapping { .. })
-        ));
+        let out = run_spmm(&cfg(), &SpmmMapping::default(), &a, &b).unwrap();
+        assert_eq!(out.result, reference::spmm(&a, &b));
         let a = gen::random_sparse(4, 32, 0.5, &mut rng);
         let b = Dense::random(16, 8, &mut rng); // K mismatch
         assert!(run_spmm(&cfg(), &SpmmMapping::default(), &a, &b).is_err());
+    }
+
+    #[test]
+    fn ragged_k_is_zero_padded() {
+        // K = 13 on 8 rows: H = 2, row 6 holds one real column and row 7
+        // none. Every mapping must still equal the reference, and off-chip
+        // reads count the real K, not the padded one.
+        let mut rng = gen::seeded_rng(29);
+        let a = gen::random_sparse(10, 13, 0.4, &mut rng);
+        let b = Dense::random(13, 32, &mut rng);
+        let streams = build_row_streams(&a, 8).unwrap();
+        assert!(streams[7]
+            .iter()
+            .all(|t| matches!(t, MetaToken::RowEnd { .. } | MetaToken::End)));
+        for mapping in [
+            SpmmMapping::default(),
+            SpmmMapping {
+                spad_depth: 1,
+                use_scratchpad: false,
+                ..SpmmMapping::default()
+            },
+        ] {
+            let out = run_spmm(&cfg(), &mapping, &a, &b).unwrap();
+            assert_eq!(out.result, reference::spmm(&a, &b));
+            // B tile (13·32) + values + coordinates + row ends.
+            let expected = 13 * 32 + 2 * a.nnz() + 10;
+            assert_eq!(out.report.stats.offchip_read_bytes, expected as u64);
+        }
+        // K < rows: most segments are empty.
+        let a = gen::random_sparse(6, 5, 0.3, &mut rng);
+        let b = Dense::random(5, 32, &mut rng);
+        let out = run_spmm(&cfg(), &SpmmMapping::default(), &a, &b).unwrap();
+        assert_eq!(out.result, reference::spmm(&a, &b));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! overlapping rules with contradictory outputs and references to signals
 //! that the static wiring does not expose.
 //!
-//! [`spmm_fsm_spec`] builds the complete Listing 1 SpMM microcode; the
-//! resulting [`LutProgram`] is differentially tested against the native
-//! [`crate::kernels::spmm::SpmmFsm`].
+//! [`spmm_fsm_spec`] builds the complete Listing 1 SpMM microcode, and
+//! [`regacc_fsm_spec`]/[`regacc_merge_fsm_spec`] the relay and merge
+//! register-accumulation microcode; each resulting [`LutProgram`] is
+//! differentially tested against its native FSM.
 
 use crate::isa::Opcode;
 use crate::orchestrator::lut::token_kind;
@@ -488,13 +489,15 @@ pub fn spmm_fsm_spec(depth: usize, m_total: usize) -> FsmSpec {
     FsmSpec { config, rules }
 }
 
-/// Builds the register-accumulation FSM spec (the GEMM / N:M structured
-/// microcode): MACs accumulate into `Reg0`, every row end flushes the
-/// register south, and all upstream psums bypass (no managed window).
+/// The register-accumulation microcode shared by the relay and merge
+/// flows: the static configuration (input kind and message presence index
+/// the LUT; no condition units), the MAC into `Reg0`, the `MovFlush` row-end
+/// flush, and the finishing micro-op.
 ///
-/// This is the LUT counterpart of [`crate::kernels::gemm::RegAccFsm`]; the
-/// two are differentially tested for cycle-identical behaviour.
-pub fn regacc_fsm_spec(m_total: usize) -> FsmSpec {
+/// The flush message announces the row id just completed. The datapath
+/// exposes `PSUM(meta0)` and `PSUM(msg_rid)`, so `meta0` tracks the current
+/// row id: it increments at every row end.
+fn regacc_microcode(m_total: usize) -> (LutConfig, MicroOp, MicroOp, MicroOp) {
     let mut wiring = [Signal::Zero; LUT_INPUT_BITS];
     wiring[0] = Signal::InputKindBit(0);
     wiring[1] = Signal::InputKindBit(1);
@@ -522,20 +525,31 @@ pub fn regacc_fsm_spec(m_total: usize) -> FsmSpec {
         op: Opcode::MovFlush,
         op1: AddrSel::Reg0,
         res: AddrSel::PortSouth,
-        tag: TagSel::InputRow,
-        msg: MsgSel::PsumMsgRid, // placeholder, fixed below
+        tag: TagSel::Meta0,
+        msg: MsgSel::PsumMeta0,
+        meta0: MetaUpdate::Inc,
         consume_input: true,
         ..MicroOp::NOP
     };
-    // The flush message announces the row id just completed (input row).
-    // The LUT datapath exposes PSUM(meta0) and PSUM(msg_rid); reuse meta0 by
-    // tracking the current row id in meta0: increment it at every row end.
-    let flush = MicroOp {
-        msg: MsgSel::PsumMeta0,
-        meta0: MetaUpdate::Inc,
-        tag: TagSel::Meta0,
-        ..flush
+    let finish = MicroOp {
+        state_out: state::DONE,
+        consume_input: true,
+        done: true,
+        ..MicroOp::NOP
     };
+    (config, mac, flush, finish)
+}
+
+/// Builds the relay register-accumulation FSM spec (the GEMM / N:M
+/// structured microcode): MACs accumulate into `Reg0`, every row end
+/// flushes the register south, and all upstream psums bypass (no managed
+/// window).
+///
+/// This is the LUT counterpart of
+/// [`RegAccFsm::relay`](crate::kernels::gemm::RegAccFsm::relay); the two
+/// are differentially tested for cycle-identical behaviour.
+pub fn regacc_fsm_spec(m_total: usize) -> FsmSpec {
+    let (config, mac, flush, finish) = regacc_microcode(m_total);
     let bypass_mac = MicroOp {
         route: RouteSel::NorthToSouth,
         msg: MsgSel::PsumMsgRid,
@@ -575,12 +589,7 @@ pub fn regacc_fsm_spec(m_total: usize) -> FsmSpec {
                 msg_present: Some(false),
                 ..RulePattern::default()
             },
-            out: MicroOp {
-                state_out: state::DONE,
-                consume_input: true,
-                done: true,
-                ..MicroOp::NOP
-            },
+            out: finish,
         },
     ];
     for kind in [
@@ -603,6 +612,66 @@ pub fn regacc_fsm_spec(m_total: usize) -> FsmSpec {
             },
         });
     }
+    FsmSpec { config, rules }
+}
+
+/// Builds the merge register-accumulation FSM spec for the rows below the
+/// top of a merging mapping: MACs accumulate into `Reg0` whether or not an
+/// upstream psum waits; a row end holds (operand wait) until the upstream
+/// `PSUM` message is present, then issues `AddFlush Reg0 + North → South`,
+/// consumes the message and announces the row south. No bypass route is
+/// ever set.
+///
+/// This is the LUT counterpart of
+/// [`RegAccFsm::merge`](crate::kernels::gemm::RegAccFsm::merge); the two
+/// are differentially tested for cycle-identical behaviour.
+pub fn regacc_merge_fsm_spec(m_total: usize) -> FsmSpec {
+    let (config, mac, flush, finish) = regacc_microcode(m_total);
+    let rules = vec![
+        Rule {
+            name: "mac",
+            pattern: RulePattern {
+                kind: Some(token_kind::NNZ),
+                ..RulePattern::default()
+            },
+            out: mac,
+        },
+        Rule {
+            name: "merge",
+            pattern: RulePattern {
+                kind: Some(token_kind::ROW_END),
+                msg_present: Some(true),
+                ..RulePattern::default()
+            },
+            out: MicroOp {
+                op: Opcode::AddFlush,
+                op2: AddrSel::PortNorth,
+                consume_msg: true,
+                ..flush
+            },
+        },
+        Rule {
+            name: "wait",
+            pattern: RulePattern {
+                kind: Some(token_kind::ROW_END),
+                msg_present: Some(false),
+                ..RulePattern::default()
+            },
+            out: MicroOp {
+                state_out: state::FLUSH,
+                wait: true,
+                ..MicroOp::NOP
+            },
+        },
+        Rule {
+            name: "finish",
+            pattern: RulePattern {
+                kind: Some(token_kind::END),
+                ..RulePattern::default()
+            },
+            out: finish,
+        },
+    ];
     FsmSpec { config, rules }
 }
 
@@ -696,6 +765,80 @@ mod tests {
         let a3 = p.step(&freed);
         assert!(!a3.stalled());
         assert_eq!(a3.instr.op, crate::isa::Opcode::MovFlush);
+    }
+
+    #[test]
+    fn regacc_merge_spec_steps_like_the_native_fsm() {
+        // One scripted sequence through every merge rule and hold: a MAC
+        // past a waiting message, a row end waiting for its psum, a merge
+        // held for a credit and then for the message slot, the merge
+        // itself, and the finish.
+        use crate::kernels::gemm::RegAccFsm;
+        let psum = |rid| {
+            Some(OrchMessage {
+                id: msg_id::PSUM,
+                rid,
+            })
+        };
+        let base = OrchIo {
+            cycle: 0,
+            input: None,
+            msg: None,
+            south_credits: 2,
+            msg_slot_free: true,
+            north_tokens: 0,
+        };
+        let script = [
+            OrchIo {
+                input: Some(MetaToken::Nnz {
+                    row: 0,
+                    col: 2,
+                    value: 7,
+                }),
+                ..base
+            },
+            OrchIo {
+                input: Some(MetaToken::RowEnd { row: 0 }),
+                ..base
+            },
+            OrchIo {
+                input: Some(MetaToken::Nnz {
+                    row: 0,
+                    col: 3,
+                    value: -1,
+                }),
+                msg: psum(0),
+                ..base
+            },
+            OrchIo {
+                input: Some(MetaToken::RowEnd { row: 0 }),
+                msg: psum(0),
+                south_credits: 0,
+                ..base
+            },
+            OrchIo {
+                input: Some(MetaToken::RowEnd { row: 0 }),
+                msg: psum(0),
+                msg_slot_free: false,
+                ..base
+            },
+            OrchIo {
+                input: Some(MetaToken::RowEnd { row: 0 }),
+                msg: psum(0),
+                north_tokens: 1,
+                ..base
+            },
+            OrchIo {
+                input: Some(MetaToken::End),
+                ..base
+            },
+        ];
+        let mut lut = regacc_merge_fsm_spec(1).into_program().unwrap();
+        let mut native = RegAccFsm::merge(1);
+        for io in &script {
+            assert_eq!(lut.step(io), native.step(io), "diverged on {io:?}");
+        }
+        assert!(lut.done() && native.done());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   token kind, message presence, flags) index the LUT;
 //! * a 48-bit **micro-operation** per LUT entry ([`MicroOp`]) selecting the
 //!   opcode, the three address-generation sources, the route, the outgoing
-//!   message, the collector tag, the two state-meta updates, and the
-//!   consume/done bits.
+//!   message, the collector tag, the two state-meta updates, the
+//!   consume/done bits, and an operand-wait hold bit.
 //!
 //! [`LutProgram`] interprets a [`Bitstream`] against this datapath and
 //! implements [`OrchProgram`], so an assembled kernel FSM runs through
@@ -299,6 +299,9 @@ pub struct MicroOp {
     pub use_imm: bool,
     /// This entry completes the program.
     pub done: bool,
+    /// Hold: record an operand-wait stall and change nothing (a merging
+    /// register-accumulation row's row end waiting for the upstream psum).
+    pub wait: bool,
 }
 
 impl MicroOp {
@@ -318,6 +321,7 @@ impl MicroOp {
         consume_msg: false,
         use_imm: false,
         done: false,
+        wait: false,
     };
 
     /// Packs the micro-op into the low 48 bits of a `u64`.
@@ -343,6 +347,7 @@ impl MicroOp {
         put(self.consume_msg as u64, 1);
         put(self.use_imm as u64, 1);
         put(self.done as u64, 1);
+        put(self.wait as u64, 1);
         debug_assert!(off <= LUT_ENTRY_BITS);
         w
     }
@@ -411,6 +416,7 @@ impl MicroOp {
             consume_msg: get(1) != 0,
             use_imm: get(1) != 0,
             done: get(1) != 0,
+            wait: get(1) != 0,
         })
     }
 }
@@ -594,6 +600,9 @@ impl LutProgram {
         let inp = DatapathInputs::from_io(io);
         let idx = self.lut_index(&inp);
         let mo = MicroOp::decode(self.bitstream.word(idx))?;
+        if mo.wait {
+            return Ok(OrchAction::stall(mo.state_out, StallCause::OperandWait));
+        }
 
         // Resource check (the hardware hold): south pushes need a credit,
         // messages need a slot.
@@ -709,6 +718,7 @@ mod tests {
             consume_msg: true,
             use_imm: true,
             done: false,
+            wait: true,
         };
         let back = MicroOp::decode(mo.encode()).unwrap();
         assert_eq!(back, mo);
@@ -735,6 +745,7 @@ mod tests {
             consume_msg: true,
             use_imm: true,
             done: true,
+            wait: true,
         };
         assert!(mo.encode() < (1u64 << LUT_ENTRY_BITS));
     }

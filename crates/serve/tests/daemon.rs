@@ -185,8 +185,10 @@ fn duplicate_inflight_submits_coalesce_to_one_simulation() {
         ..opts_for(&dir)
     });
 
-    // ~150 ms in flight: long enough for the duplicate to join it.
-    let cell = slow_cell("first", "SpMM-2:4", 150);
+    // ~150 ms in flight: long enough for the duplicate to join it. The
+    // cell must run past its 150-cycle cap: GEMM stays on the relay flow
+    // at 8×8 (SpMM-2:4 at this scale merges in flight and finishes first).
+    let cell = slow_cell("first", "GEMM", 150);
     let mut dup = cell.clone();
     dup.id = "second".into();
 

@@ -746,11 +746,11 @@ mod tests {
     #[test]
     fn canon_mapping_violation_is_sim_error() {
         let canon = CanonBackend::default();
-        // K = 20 is not a multiple of the 8-row fabric.
-        let bad = Workload::Tensor(TensorOp::Spmm {
-            m: 8,
-            k: 20,
-            n: 8,
+        // SDDMM's N = seq = 20 is not a multiple of the 8-row fabric (SpMM
+        // zero-pads a ragged K; SDDMM does not pad N).
+        let bad = Workload::Tensor(TensorOp::SddmmUnstructured {
+            seq: 20,
+            head_dim: 32,
             sparsity: 0.5,
         });
         match canon.run(&bad, 1) {

@@ -38,7 +38,7 @@
 //! journaled.
 
 use crate::backend::{backend_for, BackendError, OperandCache};
-use crate::scenario::{Scenario, ScenarioGrid};
+use crate::scenario::{check_fabric_size, Scenario, ScenarioGrid};
 use crate::store::{
     cell_key, cfg_fingerprint, CellFailure, RecordStatus, ResultStore, StoredRecord, CODE_SALT,
 };
@@ -294,6 +294,10 @@ fn attempt_cell(
 /// and [`SweepOptions::retry_backoff`] are consulted from `opts`; `cfg`
 /// must already be the cell's effective configuration (see
 /// [`SweepOptions::cell_cfg`]) for `key` to be honest.
+///
+/// A geometry past [`crate::scenario::MAX_FABRIC_PES`] comes back as an
+/// `error` record before any backend runs: building such a fabric can fail
+/// an allocation, which aborts the process instead of one cell.
 pub fn execute_cell(
     scenario: &Scenario,
     key: String,
@@ -302,7 +306,11 @@ pub fn execute_cell(
     cache: &OperandCache,
 ) -> (StoredRecord, u64) {
     let mut attempt: u32 = 0;
+    let (rows, cols) = scenario.geometry;
     let (status, cycles, energy_pj, useful_macs, utilization, stalls) = loop {
+        if let Err(e) = check_fabric_size(rows, cols) {
+            break (RecordStatus::Error(e), 0, 0.0, 0, 0.0, None);
+        }
         let outcome = attempt_cell(scenario, cfg, attempt, cache);
         let transient = matches!(&outcome.0, RecordStatus::Failed(f) if f.is_transient());
         if transient && attempt < opts.max_retries {
@@ -560,6 +568,7 @@ pub fn run_sweep(
 mod tests {
     use super::*;
     use crate::scenario::{GridBuilder, OpTemplate};
+    use canon_energy::Arch;
 
     fn tiny_grid() -> ScenarioGrid {
         GridBuilder::new()
@@ -581,6 +590,34 @@ mod tests {
             )
             .bands(&[canon_sparse::gen::SparsityBand::S3])
             .build()
+    }
+
+    #[test]
+    fn oversized_fabric_is_an_error_record_without_a_fabric() {
+        let mut scenario = tiny_grid()
+            .scenarios
+            .into_iter()
+            .find(|s| s.arch == Arch::Canon)
+            .expect("grid has a Canon cell");
+        scenario.geometry = (1, 1 << 20);
+        let _pool = canon_core::pool::install(2);
+        let (rec, retries) = execute_cell(
+            &scenario,
+            "k".into(),
+            &CanonConfig::default(),
+            &SweepOptions::default(),
+            &OperandCache::with_capacity(1),
+        );
+        match &rec.status {
+            RecordStatus::Error(e) => assert!(e.contains("PE limit"), "{e}"),
+            other => panic!("expected an error record, got {other:?}"),
+        }
+        assert_eq!(
+            (rec.rows, rec.cols, rec.cycles, retries),
+            (1, 1 << 20, 0, 0)
+        );
+        let pool = canon_core::pool::stats().expect("pool installed");
+        assert_eq!((pool.hits, pool.misses), (0, 0), "a fabric was acquired");
     }
 
     #[test]
@@ -700,8 +737,8 @@ mod tests {
     #[test]
     fn sim_errors_are_recorded_not_fatal() {
         // The builder rounds dimensions to mapping-friendly sizes, so force
-        // an invalid shape (K = 20 is not a multiple of the 8-row fabric)
-        // onto the expanded scenario directly.
+        // an invalid shape (SDDMM with N = 20, not a multiple of the 8-row
+        // fabric) onto the expanded scenario directly.
         let mut grid = GridBuilder::new()
             .archs(&[canon_energy::Arch::Canon])
             .workload(
@@ -714,12 +751,12 @@ mod tests {
             )
             .build();
         for s in &mut grid.scenarios {
-            s.op = canon_workloads::Workload::Tensor(canon_workloads::TensorOp::Spmm {
-                m: 8,
-                k: 20,
-                n: 8,
-                sparsity: 0.5,
-            });
+            s.op =
+                canon_workloads::Workload::Tensor(canon_workloads::TensorOp::SddmmUnstructured {
+                    seq: 20,
+                    head_dim: 32,
+                    sparsity: 0.5,
+                });
         }
         let mut store = ResultStore::in_memory();
         let out = run_sweep(

@@ -281,9 +281,10 @@ pub fn large_geometries() -> [(usize, usize); 2] {
 pub const MAX_FABRIC_PES: usize = 16384;
 
 /// Checks that a `rows`×`cols` fabric has at most [`MAX_FABRIC_PES`] PEs
-/// (the product is computed without overflow). The one gate in front of
-/// fabric construction for geometries that come from outside: daemon
-/// submits and the `--geom` flag.
+/// (the product is computed without overflow). The gate in front of fabric
+/// construction: [`crate::engine::execute_cell`] runs it before any backend,
+/// so library callers get an `error` record, and daemon submits and the
+/// `--geom` flag run it to reject a request up front.
 ///
 /// # Errors
 ///

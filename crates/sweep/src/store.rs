@@ -30,8 +30,11 @@ use std::path::{Path, PathBuf};
 /// (iso-MAC) baselines. `v3`: SDDMM auto-pads K to the next `cols·lanes`
 /// multiple — cells that previously cached mapping-error records now
 /// simulate (results of previously-succeeding cells are unchanged, but the
-/// error records must not be served from stale stores).
-pub const CODE_SALT: &str = "canon-sweep-v3";
+/// error records must not be served from stale stores). `v4`: GEMM and N:M
+/// merge partial sums in flight on tall fabrics (fewer cycles), and
+/// GEMM/SpMM/N:M zero-pad a `K` that is not a multiple of the row count
+/// instead of recording a mapping error.
+pub const CODE_SALT: &str = "canon-sweep-v4";
 
 /// Stored-record schema version (`2` added the explicit `salt` field and
 /// the loop-workload descriptors).

@@ -42,7 +42,7 @@ proptest! {
         band_sel in 0usize..3,
         sparsity in 0.0f64..0.95,
         depth in 1usize..5,
-        regacc_sel in 0u8..4,
+        regacc_sel in 0u8..6,
     ) {
         RandomSpmm { seed, rows_sel, cols_sel, m, band_sel, sparsity, depth, regacc_sel }
             .fast_matches_reference(true);
@@ -55,7 +55,7 @@ proptest! {
 /// exactly the per-column uniformity the detector looks for.
 #[test]
 fn dense_regacc_exercises_the_batch_path() {
-    let report = fast_against_reference(|e| spmm_fabric(8, 8, 16, 64, 0.0, 4, 7, 8, e));
+    let report = fast_against_reference(|e| spmm_fabric(8, 8, 16, 64, 0.0, 4, 7, 8, false, e));
     assert!(
         report.stats.batched_pe_cycles > 0,
         "batch detector never fired on a dense uniform workload"
@@ -71,7 +71,7 @@ fn dense_regacc_exercises_the_batch_path() {
 /// leading rows without changing anything architectural.
 #[test]
 fn mixed_grid_batches_the_uniform_prefix() {
-    let report = fast_against_reference(|e| spmm_fabric(16, 8, 16, 64, 0.0, 4, 7, 8, e));
+    let report = fast_against_reference(|e| spmm_fabric(16, 8, 16, 64, 0.0, 4, 7, 8, false, e));
     assert!(
         report.stats.batched_pe_cycles > 0,
         "prefix detector never fired on a half-uniform grid"

@@ -21,9 +21,11 @@ use canon::sparse::{gen, Dense};
 /// geometry (the same construction `tests/event_wake.rs` uses). Rows
 /// `0..regacc_rows` run the register-accumulation FSM, the rest the window
 /// FSM — a mixed grid issues *different* MAC shapes per row group, and
-/// deep dense bands produce long uniform MAC bursts. `band_words` is the
-/// K-band depth per fabric row in dmem words — it sets the MAC burst length
-/// per output row.
+/// deep dense bands produce long uniform MAC bursts. With `merge`, the
+/// register-accumulation rows below row 0 merge partial sums in flight
+/// (operand-wait holds and `AddFlush` chains) instead of relaying them.
+/// `band_words` is the K-band depth per fabric row in dmem words — it sets
+/// the MAC burst length per output row.
 #[allow(clippy::too_many_arguments)]
 pub fn spmm_fabric(
     rows: usize,
@@ -34,6 +36,7 @@ pub fn spmm_fabric(
     depth: usize,
     seed: u64,
     regacc_rows: usize,
+    merge: bool,
     engine: Engine,
 ) -> Fabric {
     let cfg = CanonConfig {
@@ -53,8 +56,10 @@ pub fn spmm_fabric(
     preload_b_tile(&mut fabric, &b, k / rows, 0).expect("tile fits");
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
-        if r < regacc_rows {
-            fabric.set_program(r, RegAccFsm::new(m));
+        if merge && r > 0 && r < regacc_rows {
+            fabric.set_program(r, RegAccFsm::merge(m));
+        } else if r < regacc_rows {
+            fabric.set_program(r, RegAccFsm::relay(m));
         } else {
             fabric.set_program(r, SpmmFsm::new(depth, m));
         }
@@ -114,6 +119,7 @@ pub struct RandomSpmm {
     pub band_sel: usize,
     pub sparsity: f64,
     pub depth: usize,
+    /// `0..4`: relay register-accumulation rows; `4..6`: merging ones.
     pub regacc_sel: u8,
 }
 
@@ -126,8 +132,10 @@ impl RandomSpmm {
     pub fn fast_matches_reference(&self, traced: bool) {
         let dims = [8usize, 16, 32, 64];
         let (rows, cols) = (dims[self.rows_sel], dims[self.cols_sel]);
-        // All-window, all-regacc, and two skewed splits.
-        let regacc_rows = [0, rows, rows / 2, rows / 4][self.regacc_sel as usize];
+        // All-window, all-regacc, and two skewed splits, relaying; then
+        // all-regacc and a half split, merging in flight.
+        let regacc_rows = [0, rows, rows / 2, rows / 4, rows, rows / 2][self.regacc_sel as usize];
+        let merge = self.regacc_sel >= 4;
         // Deep bands are what make columns go uniform, but cap the total MAC
         // volume so runs stay fast at the big geometries.
         let mut band = [4usize, 16, 64][self.band_sel];
@@ -144,6 +152,7 @@ impl RandomSpmm {
                 self.depth,
                 self.seed,
                 regacc_rows,
+                merge,
                 engine,
             )
         };

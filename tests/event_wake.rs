@@ -36,6 +36,12 @@ enum ProgramKind {
     /// Register-accumulation FSM (GEMM / N:M): flush every row end, every
     /// upstream psum bypasses — its stalls hold a deliverable message.
     RegAcc,
+    /// Register-accumulation FSM merging in flight: every row below the top
+    /// holds its row end (operand wait) until the upstream psum's message
+    /// arrives, then adds it with `AddFlush`.
+    RegAccMerge,
+    /// The merge microcode assembled to a LUT bitstream.
+    LutMerge,
     /// The SpMM microcode assembled to a LUT bitstream and interpreted by
     /// the Fig 5 datapath (cycle-identical to the native FSM).
     Lut,
@@ -73,7 +79,17 @@ fn spmm_fabric(
         fabric.set_meta_stream(r, stream);
         match kind {
             ProgramKind::Spmm => fabric.set_program(r, SpmmFsm::new(depth, m)),
-            ProgramKind::RegAcc => fabric.set_program(r, RegAccFsm::new(m)),
+            ProgramKind::RegAcc => fabric.set_program(r, RegAccFsm::relay(m)),
+            ProgramKind::RegAccMerge if r > 0 => fabric.set_program(r, RegAccFsm::merge(m)),
+            ProgramKind::LutMerge if r > 0 => fabric.set_program(
+                r,
+                assembler::regacc_merge_fsm_spec(m)
+                    .into_program()
+                    .expect("merge spec assembles"),
+            ),
+            ProgramKind::RegAccMerge | ProgramKind::LutMerge => {
+                fabric.set_program(r, RegAccFsm::relay(m))
+            }
             ProgramKind::Lut => fabric.set_program(
                 r,
                 assembler::spmm_fsm_spec(depth, m)
@@ -179,7 +195,7 @@ fn sddmm_fabric(m: usize, mask_density: f64, seed: u64, engine: Engine) -> Fabri
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 30, ..ProptestConfig::default() })]
 
     /// SpMM under random geometry/sparsity/skew with a shallow window:
     /// exercises credit stalls, delayed credit returns, drained rows, and
@@ -192,11 +208,13 @@ proptest! {
         m in 1usize..24,
         sparsity in 0.0f64..0.95,
         depth in 1usize..5,
-        kind_sel in 0u8..3,
+        kind_sel in 0u8..5,
     ) {
         let kind = match kind_sel {
             0 => ProgramKind::Spmm,
             1 => ProgramKind::RegAcc,
+            2 => ProgramKind::RegAccMerge,
+            3 => ProgramKind::LutMerge,
             _ => ProgramKind::Lut,
         };
         let build = |engine| spmm_fabric(rows, cols, m, sparsity, depth, seed, kind, engine);

@@ -95,10 +95,12 @@ fn cyclic_partition_balances_banded_masks() {
 fn mapping_constraint_errors_are_descriptive() {
     let cfg = CanonConfig::default();
     let mut rng = gen::seeded_rng(5);
-    // K not a multiple of rows.
-    let a = gen::random_sparse(8, 20, 0.5, &mut rng);
-    let b = Dense::random(20, 8, &mut rng);
-    match run_spmm(&cfg, &SpmmMapping::default(), &a, &b) {
+    // SDDMM output width N not a multiple of rows (SpMM pads a ragged K
+    // instead of refusing it; SDDMM does not pad N yet).
+    let q = Dense::random(8, 32, &mut rng);
+    let kv = Dense::random(20, 32, &mut rng);
+    let mask = gen::random_mask(8, 20, 0.5, &mut rng);
+    match run_sddmm(&cfg, &SddmmMapping::default(), &mask, &q, &kv) {
         Err(SimError::Mapping { reason }) => assert!(reason.contains("multiple")),
         other => panic!("expected mapping error, got {other:?}"),
     }

@@ -1,7 +1,8 @@
 //! Differential tests: the LUT-bitstream orchestrator (Fig 5 datapath,
-//! assembled from the symbolic SpMM microcode) must be cycle-identical to
-//! the native Rust FSM on the full fabric.
+//! assembled from the symbolic SpMM and register-accumulation microcode)
+//! must be cycle-identical to the native Rust FSM on the full fabric.
 
+use canon::arch::kernels::gemm::merge_in_flight;
 use canon::arch::kernels::spmm::{run_spmm, OrchKind, SpmmMapping};
 use canon::arch::CanonConfig;
 use canon::sparse::{gen, reference, Dense};
@@ -75,18 +76,27 @@ fn lut_matches_native_across_seeds() {
     }
 }
 
-fn compare_regacc(seed: u64, m: usize, k: usize, n: usize, sparsity: f64) {
+/// Runs one register-accumulation problem through the native FSM and the
+/// LUT bitstream on `cfg` and asserts identical reports and results.
+/// Returns whether the mapper merged partial sums in flight.
+fn compare_regacc_on(
+    cfg: &CanonConfig,
+    seed: u64,
+    m: usize,
+    k: usize,
+    n: usize,
+    sparsity: f64,
+) -> bool {
     let mut rng = gen::seeded_rng(seed);
     let a = gen::random_sparse(m, k, sparsity, &mut rng);
     let b = Dense::random(k, n, &mut rng);
-    let cfg = CanonConfig::default();
     let mk = |kind| SpmmMapping {
         spad_depth: 1,
         use_scratchpad: false,
         orchestrator: kind,
     };
-    let native = run_spmm(&cfg, &mk(OrchKind::Native), &a, &b).unwrap();
-    let lut = run_spmm(&cfg, &mk(OrchKind::Lut), &a, &b).unwrap();
+    let native = run_spmm(cfg, &mk(OrchKind::Native), &a, &b).unwrap();
+    let lut = run_spmm(cfg, &mk(OrchKind::Lut), &a, &b).unwrap();
     assert_eq!(native.result, reference::spmm(&a, &b));
     assert_eq!(lut.result, native.result);
     assert_eq!(
@@ -94,6 +104,16 @@ fn compare_regacc(seed: u64, m: usize, k: usize, n: usize, sparsity: f64) {
         "register-mode LUT path must be cycle-identical (seed {seed})"
     );
     assert_eq!(native.report.stats.noc_hops, lut.report.stats.noc_hops);
+    assert_eq!(
+        native.report.architectural(),
+        lut.report.architectural(),
+        "register-mode LUT report diverged (seed {seed})"
+    );
+    merge_in_flight(a.nnz(), m, cfg.rows)
+}
+
+fn compare_regacc(seed: u64, m: usize, k: usize, n: usize, sparsity: f64) {
+    compare_regacc_on(&CanonConfig::default(), seed, m, k, n, sparsity);
 }
 
 #[test]
@@ -102,4 +122,22 @@ fn regacc_lut_matches_native_structured() {
     compare_regacc(30, 24, 32, 32, 0.0); // dense
     compare_regacc(31, 32, 64, 32, 0.5);
     compare_regacc(32, 40, 32, 40, 0.8);
+}
+
+#[test]
+fn regacc_merge_lut_matches_native_16x8() {
+    // 16 rows: short MAC bursts per row, so the mapper merges in flight and
+    // the merge microcode (operand-wait holds, AddFlush chains) runs.
+    let cfg = CanonConfig::default().with_geometry(16, 8);
+    for (seed, m, k, n, sparsity) in [
+        (33, 24, 32, 32, 0.0), // dense, w = 2
+        (34, 32, 64, 40, 0.5),
+        (35, 20, 40, 32, 0.75), // ragged K: padded to 48
+        (36, 16, 64, 64, 0.9),
+    ] {
+        assert!(
+            compare_regacc_on(&cfg, seed, m, k, n, sparsity),
+            "seed {seed} must take the merge flow"
+        );
+    }
 }

@@ -52,7 +52,7 @@ proptest! {
         band_sel in 0usize..3,
         sparsity in 0.0f64..0.95,
         depth in 1usize..5,
-        regacc_sel in 0u8..4,
+        regacc_sel in 0u8..6,
     ) {
         RandomSpmm { seed, rows_sel, cols_sel, m, band_sel, sparsity, depth, regacc_sel }
             .fast_matches_reference(false);
@@ -64,7 +64,7 @@ proptest! {
 /// a majority of cycles must be fast-forwarded, not merely a stray stretch.
 #[test]
 fn dense_regacc_replays_a_majority_of_cycles() {
-    let mut fabric = spmm_fabric(8, 8, 16, 256, 0.0, 4, 7, 8, Engine::Fast);
+    let mut fabric = spmm_fabric(8, 8, 16, 256, 0.0, 4, 7, 8, false, Engine::Fast);
     let report = fabric.run().expect("dense run drains");
     assert!(
         report.stats.replay_stretches > 0,
@@ -249,7 +249,7 @@ fn build_with(cfg: CanonConfig) -> Fabric {
     preload_b_tile(&mut fabric, &b, k / cfg.rows, 0).expect("tile fits");
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
-        fabric.set_program(r, RegAccFsm::new(16));
+        fabric.set_program(r, RegAccFsm::relay(16));
     }
     fabric
 }
@@ -293,8 +293,8 @@ fn cycle_ceiling_aborts_mid_stretch_at_exact_cycle() {
 /// replayed production runs).
 #[test]
 fn trace_sink_disengages_replay() {
-    let mut traced_fast = spmm_fabric(8, 8, 16, 64, 0.0, 4, 7, 8, Engine::Fast);
-    let mut traced_ref = spmm_fabric(8, 8, 16, 64, 0.0, 4, 7, 8, Engine::Reference);
+    let mut traced_fast = spmm_fabric(8, 8, 16, 64, 0.0, 4, 7, 8, false, Engine::Fast);
+    let mut traced_ref = spmm_fabric(8, 8, 16, 64, 0.0, 4, 7, 8, false, Engine::Reference);
     let (sink_f, sink_r) = (VecSink::default(), VecSink::default());
     traced_fast.set_trace_sink(Box::new(sink_f.clone()));
     traced_ref.set_trace_sink(Box::new(sink_r.clone()));

@@ -127,7 +127,7 @@ fn gemm_trace_replays_stats_exactly() {
     preload_b_tile(&mut fabric, &b, k / cfg.rows, 0).expect("tile fits");
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
-        fabric.set_program(r, RegAccFsm::new(m));
+        fabric.set_program(r, RegAccFsm::relay(m));
     }
     let (report, events) = traced_run(fabric);
     assert_replay_exact(&report, &events);
